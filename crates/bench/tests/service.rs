@@ -2,7 +2,8 @@
 //! `lab serve` response stream is byte-identical for any worker count
 //! and row-for-row identical to the batch engine; the persistent
 //! baseline store round-trips across runs (second run recomputes
-//! nothing) and recovers from corrupted entries by recomputing them.
+//! nothing) and recovers from corrupted entries by recomputing them;
+//! a malformed request costs one error row, never the service.
 
 use std::fs;
 use std::path::PathBuf;
@@ -81,6 +82,27 @@ fn serve_rows_match_the_batch_engine() {
     for (served, batch) in served.iter().zip(rows) {
         assert_eq!(served.to_string(), batch.to_string());
     }
+}
+
+#[test]
+fn deeply_nested_request_gets_an_error_row_and_service_continues() {
+    // 50,000 nested `[` once overflowed the request parser's stack and
+    // aborted the whole service. It must now be one typed error row,
+    // and the request after it must still be answered.
+    let input = format!("{}\n{}", "[".repeat(50_000), REQUESTS.lines().next().unwrap());
+    let mut out = Vec::new();
+    let summary = serve_io(&serve_cli(1), input.as_bytes(), &mut out);
+    assert_eq!((summary.cells, summary.errors), (2, 1));
+
+    let stream = String::from_utf8(out).expect("utf8 stream");
+    let rows: Vec<Json> = stream
+        .lines()
+        .map(|l| Json::parse(l).unwrap().get("row").expect("row").clone())
+        .collect();
+    let error = rows[0].get("error").and_then(Json::as_str).expect("error row");
+    assert!(error.contains("nesting too deep"), "{error}");
+    assert_eq!(rows[1].get("bench").and_then(Json::as_str), Some("swim"));
+    assert!(rows[1].get("error").is_none(), "{}", rows[1]);
 }
 
 fn store_spec(dir: &PathBuf) -> ExperimentSpec {

@@ -212,10 +212,12 @@ impl Json {
     }
 
     /// Parses a JSON document (the whole input must be one value).
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] deep; deeper
+    /// input is a [`ParseError`], not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters"));
@@ -352,6 +354,11 @@ impl<V: ToJson> ToJson for BTreeMap<String, V> {
 // ---------------------------------------------------------------------
 // Parser.
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the limit bounds its stack use; every
+/// document this workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 256;
+
 /// A parse failure, with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -398,20 +405,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    /// Parses one value; `depth` counts the arrays and objects that
+    /// enclose it.
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+        if matches!(self.peek(), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
         match self.peek() {
             Some(b'n') if self.eat("null") => Ok(Json::Null),
             Some(b't') if self.eat("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat("false") => Ok(Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.pos += 1; // '['
         let mut items = Vec::new();
         self.skip_ws();
@@ -421,7 +433,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -434,7 +446,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
+    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.pos += 1; // '{'
         let mut fields = Vec::new();
         self.skip_ws();
@@ -451,7 +463,7 @@ impl<'a> Parser<'a> {
             }
             self.pos += 1;
             self.skip_ws();
-            fields.push((key, self.value()?));
+            fields.push((key, self.value(depth)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -619,6 +631,25 @@ mod tests {
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn rejects_nesting_beyond_the_depth_limit() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.at, MAX_DEPTH);
+        // Far past the limit (a stack overflow before the limit
+        // existed), unterminated, and through objects too.
+        assert!(Json::parse(&"[".repeat(50_000)).is_err());
+        assert!(Json::parse(&r#"{"a":"#.repeat(50_000)).is_err());
+        let mixed = format!("{}1{}", r#"{"k":["#.repeat(MAX_DEPTH), "]}".repeat(MAX_DEPTH));
+        assert_eq!(
+            Json::parse(&mixed).unwrap_err().message,
+            "nesting too deep",
+            "an object-array pair is two levels"
+        );
     }
 
     #[test]

@@ -18,8 +18,14 @@
 //! a decoded entry is stale only in the window *inside* a patch
 //! operation, never between steps — while tests can assert that a
 //! patch really did fix up its entry by comparing tags.
+//!
+//! Each entry also carries its bundle's **quiet form** (see
+//! [`QuietForm`]): the compact, pre-resolved slot list the fast tier's
+//! quiet run executes when no scoreboard read can stall. It is derived
+//! whenever the entry is decoded, so every generation bump re-derives
+//! it together with the rest of the entry.
 
-use isa::{Addr, Bundle, Insn, Op, Program, TRACE_POOL_BASE};
+use isa::{Addr, Bundle, CmpOp, Insn, Op, Program, TRACE_POOL_BASE};
 
 /// Slot flag: the instruction is a no-op (of any slot kind) and can be
 /// retired without predicate, scoreboard, or execute work.
@@ -79,6 +85,212 @@ impl DecodedSlot {
     }
 }
 
+/// The operation of a single-cycle integer instruction: an ALU op that
+/// writes a general register, or a compare that writes a predicate
+/// pair. See [`IntInsn`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IntOp {
+    /// `x + y` (wrapping).
+    Add,
+    /// `x - y` (wrapping).
+    Sub,
+    /// `(x << count) + y` (wrapping add).
+    Shladd(u8),
+    /// `x & y`.
+    And,
+    /// `x | y`.
+    Or,
+    /// `x ^ y`.
+    Xor,
+    /// Compare `x` against `y`: the true target gets the result, the
+    /// false target its complement.
+    Cmp(CmpOp),
+}
+
+/// A single-cycle integer instruction (`add`/`adds`/`sub`/`shladd`/
+/// `and`/`or`/`xor`/`mov`/`movl`/`cmp`/`cmp.i`) in one pre-resolved
+/// shape: the operands are `x = gr[a]` and `y = gr[b] + imm`. Register
+/// forms carry `imm = 0`; immediate forms read `b = r0` (always 0); `mov`
+/// is `adds d = 0, s` and `movl` is `adds d = imm, r0`, as on Itanium.
+///
+/// [`IntInsn::from_op`] is the only mapping from [`Op`] to this form
+/// and `Machine::exec_int` the only place its semantics live; the
+/// generic slot executor and the quiet run both go through them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IntInsn {
+    /// The operation.
+    pub op: IntOp,
+    /// Destination general register, or the true predicate of a compare.
+    pub d: u8,
+    /// The false predicate of a compare (unused by ALU ops).
+    pub pf: u8,
+    /// First source register.
+    pub a: u8,
+    /// Second source register (`r0` for immediate forms).
+    pub b: u8,
+    /// Immediate added to the second operand (0 for register forms).
+    pub imm: i64,
+}
+
+impl IntInsn {
+    /// The pre-resolved form of `op`, or `None` when `op` is not a
+    /// single-cycle integer instruction.
+    #[inline(always)]
+    pub fn from_op(op: &Op) -> Option<IntInsn> {
+        let alu = |op, d: isa::Gr, a: isa::Gr, b: isa::Gr, imm| IntInsn {
+            op,
+            d: d.0,
+            pf: 0,
+            a: a.0,
+            b: b.0,
+            imm,
+        };
+        let cmp = |op, pt: isa::Pr, pf: isa::Pr, a: isa::Gr, b: isa::Gr, imm| IntInsn {
+            op: IntOp::Cmp(op),
+            d: pt.0,
+            pf: pf.0,
+            a: a.0,
+            b: b.0,
+            imm,
+        };
+        let r0 = isa::Gr(0);
+        Some(match *op {
+            Op::Add { d, a, b } => alu(IntOp::Add, d, a, b, 0),
+            Op::AddI { d, a, imm } => alu(IntOp::Add, d, a, r0, imm),
+            Op::Sub { d, a, b } => alu(IntOp::Sub, d, a, b, 0),
+            Op::Shladd { d, a, count, b } => alu(IntOp::Shladd(count), d, a, b, 0),
+            Op::And { d, a, b } => alu(IntOp::And, d, a, b, 0),
+            Op::Or { d, a, b } => alu(IntOp::Or, d, a, b, 0),
+            Op::Xor { d, a, b } => alu(IntOp::Xor, d, a, b, 0),
+            Op::Mov { d, s } => alu(IntOp::Add, d, s, r0, 0),
+            Op::MovL { d, imm } => alu(IntOp::Add, d, r0, r0, imm),
+            Op::Cmp { op, pt, pf, a, b } => cmp(op, pt, pf, a, b, 0),
+            Op::CmpI { op, pt, pf, a, imm } => cmp(op, pt, pf, a, r0, imm),
+            _ => return None,
+        })
+    }
+}
+
+/// What one slot of a quiet bundle does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QuietOp {
+    /// A single-cycle integer instruction; its operands are the
+    /// [`IntInsn`] fields of the slot ([`QuietSlot::int`]).
+    Int(IntOp),
+    /// `br` to `imm`.
+    Br,
+    /// `br.cond` to `imm`: its predicated-off outcome is recorded.
+    BrCond,
+}
+
+/// One effectful slot of a quiet bundle, flattened to 16 bytes: an
+/// [`IntInsn`]'s fields, or a branch whose target is `imm`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuietSlot {
+    /// The slot's operation.
+    pub op: QuietOp,
+    /// Qualifying predicate index; 0 (`p0`, hardwired true) when the
+    /// instruction is unpredicated.
+    pub qp: u8,
+    /// Slot number within the bundle (0–2).
+    pub slot: u8,
+    /// [`IntInsn::d`].
+    pub d: u8,
+    /// [`IntInsn::pf`].
+    pub pf: u8,
+    /// [`IntInsn::a`].
+    pub a: u8,
+    /// [`IntInsn::b`].
+    pub b: u8,
+    /// [`IntInsn::imm`], or the branch target address.
+    pub imm: i64,
+}
+
+impl QuietSlot {
+    /// The integer instruction of an [`QuietOp::Int`] slot.
+    #[inline(always)]
+    pub fn int(&self, op: IntOp) -> IntInsn {
+        IntInsn {
+            op,
+            d: self.d,
+            pf: self.pf,
+            a: self.a,
+            b: self.b,
+            imm: self.imm,
+        }
+    }
+}
+
+/// The compact form of a **quiet** bundle: every slot is a nop,
+/// `alloc`, single-cycle integer instruction, `br` or `br.cond`, so
+/// once no scoreboard read can stall, the bundle's timing is static
+/// (see [`crate::exec`]). Nops and `alloc`s have no effect and are
+/// dropped; the remaining slots are kept in slot order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuietForm {
+    /// The effectful slots; only the first `len` entries are live.
+    slots: [QuietSlot; 3],
+    /// Number of live entries in `slots` (at most 3).
+    len: u8,
+}
+
+impl QuietForm {
+    /// The quiet form of `bundle`, or `None` when any slot is outside
+    /// the quiet set.
+    fn derive(bundle: &Bundle) -> Option<QuietForm> {
+        let unused = QuietSlot {
+            op: QuietOp::Br,
+            qp: 0,
+            slot: 0,
+            d: 0,
+            pf: 0,
+            a: 0,
+            b: 0,
+            imm: 0,
+        };
+        let mut form = QuietForm {
+            slots: [unused; 3],
+            len: 0,
+        };
+        for (s, insn) in bundle.slots.iter().enumerate() {
+            let mut q = QuietSlot {
+                qp: insn.qp.map_or(0, |p| p.0),
+                slot: s as u8,
+                ..unused
+            };
+            match insn.op {
+                Op::Nop(_) | Op::Alloc => continue,
+                Op::Br { target } => q.imm = target.0 as i64,
+                Op::BrCond { target } => {
+                    q.op = QuietOp::BrCond;
+                    q.imm = target.0 as i64;
+                }
+                ref op => {
+                    let i = IntInsn::from_op(op)?;
+                    q = QuietSlot {
+                        op: QuietOp::Int(i.op),
+                        d: i.d,
+                        pf: i.pf,
+                        a: i.a,
+                        b: i.b,
+                        imm: i.imm,
+                        ..q
+                    };
+                }
+            }
+            form.slots[form.len as usize] = q;
+            form.len += 1;
+        }
+        Some(form)
+    }
+
+    /// The live slots, in slot order.
+    #[inline]
+    pub fn slots(&self) -> &[QuietSlot] {
+        &self.slots[..self.len as usize]
+    }
+}
+
 /// One predecoded bundle: three decoded slots plus bundle-level
 /// metadata the fast path would otherwise re-derive per step.
 #[derive(Debug, Clone, Copy)]
@@ -93,6 +305,9 @@ pub struct DecodedBundle {
     /// bundle level): lets the fast path retire padding slots without
     /// even copying them out of the arena.
     pub nop_mask: u8,
+    /// The bundle's quiet form; `None` when a slot is outside the quiet
+    /// set (memory, floating point, call/return, halt).
+    pub quiet: Option<QuietForm>,
     /// Store generation at which this entry was (re)decoded.
     pub generation: u64,
 }
@@ -118,6 +333,7 @@ impl DecodedBundle {
             slots,
             cond_branch_mask,
             nop_mask,
+            quiet: QuietForm::derive(bundle),
             generation,
         }
     }
@@ -135,8 +351,8 @@ pub struct CodeLoc {
 
 /// A dense arena of predecoded bundles mirroring the static program
 /// image and the trace pool. See the module docs for the coherence
-/// protocol.
-#[derive(Debug)]
+/// protocol. The default store is empty (no code, generation 0).
+#[derive(Debug, Default)]
 pub struct CodeStore {
     code_base: u64,
     static_bundles: Vec<DecodedBundle>,
@@ -293,6 +509,113 @@ mod tests {
         assert_ne!(d.slots[2].flags & FLAG_FR_READS, 0);
         assert_eq!(d.cond_branch_mask, 0);
         assert_eq!(d.generation, 3);
+    }
+
+    #[test]
+    fn int_insn_resolves_every_single_cycle_op_to_one_shape() {
+        let r = Gr;
+        let add = Op::Add {
+            d: r(3),
+            a: r(4),
+            b: r(5),
+        };
+        let i = IntInsn::from_op(&add).unwrap();
+        assert_eq!((i.op, i.d, i.a, i.b, i.imm), (IntOp::Add, 3, 4, 5, 0));
+        let i = IntInsn::from_op(&Op::Mov { d: r(3), s: r(7) }).unwrap();
+        assert_eq!(
+            (i.op, i.d, i.a, i.b, i.imm),
+            (IntOp::Add, 3, 7, 0, 0),
+            "mov = adds d = 0, s"
+        );
+        let i = IntInsn::from_op(&Op::MovL { d: r(3), imm: -9 }).unwrap();
+        assert_eq!(
+            (i.op, i.a, i.b, i.imm),
+            (IntOp::Add, 0, 0, -9),
+            "movl = adds d = imm, r0"
+        );
+        let cmpi = Op::CmpI {
+            op: CmpOp::Ltu,
+            pt: Pr(6),
+            pf: Pr(7),
+            a: r(8),
+            imm: 40,
+        };
+        let i = IntInsn::from_op(&cmpi).unwrap();
+        assert_eq!(
+            (i.op, i.d, i.pf, i.a, i.b, i.imm),
+            (IntOp::Cmp(CmpOp::Ltu), 6, 7, 8, 0, 40)
+        );
+        let shladd = Op::Shladd {
+            d: r(1),
+            a: r(2),
+            count: 3,
+            b: r(4),
+        };
+        assert_eq!(IntInsn::from_op(&shladd).unwrap().op, IntOp::Shladd(3));
+        for op in [Op::Alloc, Op::Halt, Op::BrRet, Op::Nop(SlotKind::I)] {
+            assert_eq!(IntInsn::from_op(&op), None, "{op:?}");
+        }
+    }
+
+    #[test]
+    fn quiet_form_keeps_effectful_slots_in_slot_order() {
+        let target = Addr(CODE_BASE + 32);
+        let b = Bundle {
+            template: isa::Template::Mib,
+            slots: [
+                Insn::new(Op::Alloc),
+                Insn::new(Op::AddI {
+                    d: Gr(9),
+                    a: Gr(9),
+                    imm: -1,
+                }),
+                Insn::predicated(Pr(1), Op::BrCond { target }),
+            ],
+        };
+        let form = DecodedBundle::decode(&b, 0).quiet.expect("quiet bundle");
+        let slots = form.slots();
+        assert_eq!(slots.len(), 2, "alloc is dropped");
+        assert_eq!((slots[0].slot, slots[0].qp), (1, 0));
+        assert_eq!(slots[0].op, QuietOp::Int(IntOp::Add));
+        assert_eq!(slots[0].int(IntOp::Add).imm, -1);
+        assert_eq!((slots[1].slot, slots[1].qp), (2, 1));
+        assert_eq!(slots[1].op, QuietOp::BrCond);
+        assert_eq!(slots[1].imm as u64, target.0);
+
+        let all_nops = DecodedBundle::decode(&nop_bundle(), 0)
+            .quiet
+            .expect("nops are quiet");
+        assert!(all_nops.slots().is_empty());
+        for loud in [
+            Insn::new(Op::Halt),
+            Insn::new(Op::BrRet),
+            Insn::new(Op::Lfetch {
+                base: Gr(4),
+                post_inc: 0,
+            }),
+        ] {
+            let b = Bundle::pack(&[loud]).unwrap();
+            assert!(DecodedBundle::decode(&b, 0).quiet.is_none(), "{loud:?}");
+        }
+    }
+
+    #[test]
+    fn replace_rederives_the_quiet_form() {
+        let mut store = CodeStore::new(&prog(vec![nop_bundle()]));
+        let loc = store.locate(Addr(CODE_BASE)).unwrap();
+        assert!(store.decoded(loc).quiet.is_some());
+        let ld = Insn::new(Op::Ld {
+            d: Gr(20),
+            base: Gr(14),
+            post_inc: 0,
+            size: AccessSize::U8,
+            spec: false,
+        });
+        store.replace(Addr(CODE_BASE), &Bundle::pack(&[ld]).unwrap());
+        assert!(
+            store.decoded(loc).quiet.is_none(),
+            "a load makes the bundle loud"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use isa::{Addr, Bundle, Insn, Op, Pc, Program, SlotKind, TRACE_POOL_BASE};
 
 use crate::cache::{CacheConfig, Hierarchy, HitLevel};
-use crate::code::CodeStore;
+use crate::code::{CodeStore, IntInsn, IntOp};
 use crate::mem::Memory;
 use crate::pmu::{Pmu, Sample};
 use crate::tlb::{Tlb, TlbConfig};
@@ -277,7 +277,7 @@ pub(crate) enum StallSource {
 
 #[derive(Debug)]
 pub(crate) struct SampleState {
-    next_at: u64,
+    pub(crate) next_at: u64,
     index: u64,
     pub(crate) buffer: Vec<Sample>,
     /// LCG state for deterministic period randomization.
@@ -308,6 +308,12 @@ pub struct Machine {
     /// for the PMU's cycle-breakdown counters).
     pub(crate) gr_source: [StallSource; 128],
     pub(crate) fr_source: [StallSource; 128],
+    /// Scoreboard watermark: the maximum of every `gr_ready`/`fr_ready`
+    /// value written through `write_gr_src`/`write_fr_src` (the threaded
+    /// tier only writes "ready now" entries, which never exceed the
+    /// clock). While `cycle >= quiet_at` no scoreboard read can stall,
+    /// which is the entry condition of the fast tier's quiet run.
+    pub(crate) quiet_at: u64,
     pub(crate) ip: Addr,
     pub(crate) ret_stack: Vec<Addr>,
     pub(crate) cycle: u64,
@@ -356,6 +362,7 @@ impl Machine {
             fr_ready: [0; 128],
             gr_source: [StallSource::None; 128],
             fr_source: [StallSource::None; 128],
+            quiet_at: 0,
             ip: program.entry(),
             ret_stack: Vec::new(),
             cycle: 0,
@@ -403,6 +410,7 @@ impl Machine {
         self.fr_ready = [0; 128];
         self.gr_source = [StallSource::None; 128];
         self.fr_source = [StallSource::None; 128];
+        self.quiet_at = 0;
         self.ip = program.entry();
         self.ret_stack.clear();
         self.cycle = 0;
@@ -699,6 +707,7 @@ impl Machine {
         if r.index() != 0 {
             self.gr[r.index()] = v;
             self.gr_ready[r.index()] = ready;
+            self.quiet_at = self.quiet_at.max(ready);
             self.gr_source[r.index()] = if ready > self.cycle {
                 source
             } else {
@@ -715,6 +724,7 @@ impl Machine {
         if r.index() > 1 {
             self.fr[r.index()] = v;
             self.fr_ready[r.index()] = ready;
+            self.quiet_at = self.quiet_at.max(ready);
             self.fr_source[r.index()] = if ready > self.cycle {
                 source
             } else {
@@ -903,6 +913,37 @@ impl Machine {
         self.pmu.counters.cycles = self.cycle;
     }
 
+    /// Executes one issued single-cycle integer instruction: the only
+    /// definition of the ALU and compare semantics, shared by
+    /// [`Machine::exec_slot_op`] (reference and fast tiers) and the
+    /// fast tier's quiet run. The result is ready in the issuing cycle.
+    #[inline(always)]
+    pub(crate) fn exec_int(&mut self, i: IntInsn) {
+        let x = self.gr[i.a as usize];
+        let y = self.gr[i.b as usize].wrapping_add(i.imm);
+        let v = match i.op {
+            IntOp::Add => x.wrapping_add(y),
+            IntOp::Sub => x.wrapping_sub(y),
+            IntOp::Shladd(count) => (x << count).wrapping_add(y),
+            IntOp::And => x & y,
+            IntOp::Or => x | y,
+            IntOp::Xor => x ^ y,
+            IntOp::Cmp(op) => {
+                let r = op.eval(x, y);
+                self.write_pr(isa::Pr(i.d), r);
+                self.write_pr(isa::Pr(i.pf), !r);
+                return;
+            }
+        };
+        self.write_gr(isa::Gr(i.d), v, self.cycle);
+    }
+
+    /// [`Machine::exec_int`] on `op`, which must map to an [`IntInsn`].
+    #[inline(always)]
+    fn exec_int_op(&mut self, op: &Op) {
+        self.exec_int(IntInsn::from_op(op).expect("single-cycle integer op"));
+    }
+
     /// Executes one issued (predicate-true, scoreboard-clear)
     /// instruction. Shared by the reference and fast paths: every
     /// architectural and timing effect of an instruction lives here,
@@ -920,46 +961,20 @@ impl Machine {
         let now = self.cycle;
         match insn.op {
             Op::Nop(_) | Op::Alloc => {}
-            Op::Add { d, a, b } => {
-                let v = self.gr[a.index()].wrapping_add(self.gr[b.index()]);
-                self.write_gr(d, v, now);
-            }
-            Op::AddI { d, a, imm } => {
-                let v = self.gr[a.index()].wrapping_add(imm);
-                self.write_gr(d, v, now);
-            }
-            Op::Sub { d, a, b } => {
-                let v = self.gr[a.index()].wrapping_sub(self.gr[b.index()]);
-                self.write_gr(d, v, now);
-            }
-            Op::Shladd { d, a, count, b } => {
-                let v = (self.gr[a.index()] << count).wrapping_add(self.gr[b.index()]);
-                self.write_gr(d, v, now);
-            }
-            Op::And { d, a, b } => {
-                self.write_gr(d, self.gr[a.index()] & self.gr[b.index()], now);
-            }
-            Op::Or { d, a, b } => {
-                self.write_gr(d, self.gr[a.index()] | self.gr[b.index()], now);
-            }
-            Op::Xor { d, a, b } => {
-                self.write_gr(d, self.gr[a.index()] ^ self.gr[b.index()], now);
-            }
-            Op::MovL { d, imm } => self.write_gr(d, imm, now),
-            Op::Mov { d, s } => {
-                let v = self.gr[s.index()];
-                self.write_gr(d, v, now);
-            }
-            Op::Cmp { op, pt, pf, a, b } => {
-                let r = op.eval(self.gr[a.index()], self.gr[b.index()]);
-                self.write_pr(pt, r);
-                self.write_pr(pf, !r);
-            }
-            Op::CmpI { op, pt, pf, a, imm } => {
-                let r = op.eval(self.gr[a.index()], imm);
-                self.write_pr(pt, r);
-                self.write_pr(pf, !r);
-            }
+            // One arm per op (not an or-pattern) so the inlined
+            // `from_op` folds to that op's operands: measured 10-15%
+            // faster on the generic path.
+            Op::Add { .. } => self.exec_int_op(&insn.op),
+            Op::AddI { .. } => self.exec_int_op(&insn.op),
+            Op::Sub { .. } => self.exec_int_op(&insn.op),
+            Op::Shladd { .. } => self.exec_int_op(&insn.op),
+            Op::And { .. } => self.exec_int_op(&insn.op),
+            Op::Or { .. } => self.exec_int_op(&insn.op),
+            Op::Xor { .. } => self.exec_int_op(&insn.op),
+            Op::MovL { .. } => self.exec_int_op(&insn.op),
+            Op::Mov { .. } => self.exec_int_op(&insn.op),
+            Op::Cmp { .. } => self.exec_int_op(&insn.op),
+            Op::CmpI { .. } => self.exec_int_op(&insn.op),
             Op::Ld {
                 d,
                 base,
@@ -1778,6 +1793,27 @@ mod tests {
         let a: Vec<_> = reused.drain_samples();
         let b: Vec<_> = fresh.drain_samples();
         assert_eq!(a.len(), b.len(), "sampler state must be rebuilt from the new seed");
+        assert_eq!(reused.quiet_at, fresh.quiet_at, "scoreboard watermark rearmed");
+    }
+
+    #[test]
+    fn quiet_watermark_bounds_every_pending_result() {
+        let mut m = machine_for(|a| {
+            a.movl(Gr(10), crate::DATA_BASE as i64);
+            a.ld(AccessSize::U8, Gr(11), Gr(10), 0);
+            a.ldf(Fr(4), Gr(10), 0);
+            a.fma(Fr(5), Fr(4), Fr(4), Fr(1));
+            a.halt();
+        });
+        m.mem_mut().alloc(64, 64);
+        assert_eq!(m.quiet_at, 0);
+        assert_eq!(m.run(u64::MAX), StopReason::Halted);
+        let latest = m.gr_ready.iter().chain(&m.fr_ready).max().copied().unwrap();
+        assert_eq!(
+            m.quiet_at, latest,
+            "the watermark is the latest ready cycle written"
+        );
+        assert!(m.quiet_at > 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! | tier                  | step                              | timing |
 //! |-----------------------|-----------------------------------|--------|
 //! | [`Reference`]         | `Machine::step_bundle`            | cycle-exact |
-//! | [`Fast`]              | `Machine::step_bundle_fast`       | cycle-exact (bit-identical to Reference) |
+//! | [`Fast`]              | `Machine::quiet_run`, then `Machine::step_bundle_fast` | cycle-exact (bit-identical to Reference) |
 //! | [`Threaded`]          | `Machine::jit_step`               | architectural state only |
 //!
 //! `SAMPLING` is a compile-time split: the unsampled instantiation of
@@ -31,7 +31,9 @@ use crate::machine::Machine;
 /// consistent, so the next step (on any tier) continues correctly.
 /// `cycle_limit` is advisory for single-bundle tiers (the drive loop
 /// checks it between steps) but binding for multi-bundle steps, which
-/// must return soon after `cycle` reaches it.
+/// must return soon after `cycle` reaches it — immediately after that
+/// bundle for a cycle-exact tier, whose stops must land on the same
+/// bundle as the reference tier's.
 pub(crate) trait ExecTier {
     /// Advances the machine by one step.
     fn step<const SAMPLING: bool>(m: &mut Machine, cycle_limit: u64);
@@ -47,11 +49,17 @@ impl ExecTier for Reference {
 }
 
 /// The predecoded fast implementation (cycle-exact, bit-identical to
-/// [`Reference`]).
+/// [`Reference`]). While the scoreboard is quiet (`cycle >= quiet_at`)
+/// a step is a quiet run over consecutive quiet bundles, which returns
+/// after any bundle that reaches `cycle_limit` or takes a sample; the
+/// first non-quiet bundle it meets is stepped generically.
 pub(crate) struct Fast;
 
 impl ExecTier for Fast {
-    fn step<const SAMPLING: bool>(m: &mut Machine, _cycle_limit: u64) {
+    fn step<const SAMPLING: bool>(m: &mut Machine, cycle_limit: u64) {
+        if m.cycle >= m.quiet_at && m.quiet_run::<SAMPLING>(cycle_limit) {
+            return;
+        }
         m.step_bundle_fast::<SAMPLING>();
     }
 }

@@ -260,3 +260,27 @@ fn fpconv_reproducer_instruments_and_promotes() {
         }
     }
 }
+
+/// The quiet-run reproducer must not just agree: its sweep loop has to
+/// be patched between the integer-only loops around it, so the fast
+/// tier's quiet runs really do start, stop and resume around a live
+/// patch (the replay above checks agreement on every tier).
+#[test]
+fn quiet_run_reproducer_patches_between_quiet_loops() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("corpus")
+        .join("quiet_run_patched_loops.txt");
+    let text = std::fs::read_to_string(&path).expect("read quiet-run reproducer");
+    let spec = parse_repro(&text).expect("parse quiet-run reproducer");
+    for exec_path in [ExecPath::Fast, ExecPath::Reference] {
+        let cfg = DiffConfig { exec_path, ..DiffConfig::default() };
+        match check(&spec, &cfg) {
+            CaseResult::Agree { traces_patched, .. } => assert!(
+                traces_patched >= 1,
+                "[{exec_path}] the sweep loop was never patched"
+            ),
+            other => panic!("[{exec_path}] expected agreement, got {other:?}"),
+        }
+    }
+}
