@@ -23,7 +23,9 @@
 //!   reports declined work through (§4.3's failure analysis);
 //! - [`pipeline`] — the optimizer decomposed into instrumented
 //!   [`pipeline::Pass`]es over a shared [`pipeline::OptContext`], with
-//!   a per-pass overhead ledger and structured event stream;
+//!   a per-pass overhead ledger;
+//! - [`event`] — the typed [`Event`] log of every optimizer decision,
+//!   from which the report counters are derived;
 //! - [`policy`] — adaptive per-phase policy selection: a discrete
 //!   policy space over the optimizer's tunables and a deterministic
 //!   online controller that trials, scores and commits arms per phase
@@ -72,6 +74,7 @@
 #![warn(missing_docs)]
 
 pub mod delinq;
+pub mod event;
 pub mod instrument;
 pub mod patch;
 pub mod pattern;
@@ -84,6 +87,7 @@ pub mod runtime;
 pub mod trace;
 
 pub use delinq::{find_delinquent_loads, loads_for_trace, DelinquentLoad, MAX_LOADS_PER_TRACE};
+pub use event::Event;
 pub use instrument::{dominant_stride, instrument_trace, promote, InstrumentConfig, Instrumentation};
 pub use patch::{install, unpatch, PatchedTrace};
 pub use pattern::{classify, Pattern};

@@ -17,8 +17,9 @@
 //! per-pass invocations, charged virtual cycles (the paper's 1–2 %
 //! overhead claim, Fig. 11, now itemized per stage), wall time,
 //! accepted work units and rejection counts keyed by the unified
-//! [`Rejection`] taxonomy — plus an [`EventStream`] of every deploy,
-//! instrument, promote and unpatch action.
+//! [`Rejection`] taxonomy — plus the typed [`Event`] log of every
+//! deploy, instrument, promote and unpatch action, per-trace analysis
+//! and per-load rejection, from which the report counters are derived.
 //!
 //! Passes communicate only through [`OptContext`]; disabling a pass
 //! leaves its downstream consumers looking at empty prerequisite state
@@ -31,11 +32,12 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use isa::Pc;
-use obs::{EventStream, Json, ToJson};
+use obs::{Json, ToJson};
 use perfmon::{ProfileWindow, UserEventBuffer};
 use sim::Machine;
 
 use crate::delinq::{find_delinquent_loads, loads_for_trace, DelinquentLoad};
+use crate::event::{Event, TraceRow};
 use crate::instrument::{dominant_stride, instrument_trace, promote, PendingInstr};
 use crate::patch::{install, unpatch, PatchedTrace};
 use crate::pattern::Pattern;
@@ -43,7 +45,7 @@ use crate::phase::{PhaseDecision, PhaseDetector, PhaseSignature};
 use crate::policy::{Policy, PolicyController};
 use crate::prefetch::{classify_loads, schedule_streams, InsertionStats, OptimizedTrace};
 use crate::reject::Rejection;
-use crate::runtime::{AdoreConfig, OptEvent, RunReport, TimePoint};
+use crate::runtime::{AdoreConfig, RunReport, TimePoint};
 use crate::trace::{select_traces_with_drops, Trace};
 
 /// Identity of a pipeline pass. The variant order is the canonical
@@ -206,33 +208,14 @@ pub struct TraceWork {
     pub mine: Vec<DelinquentLoad>,
     /// Classified loads: (pc, mean miss latency, pattern).
     pub classified: Vec<(Pc, f64, Pattern)>,
-    /// Classification rejections for this trace.
-    pub class_skips: Vec<(Pc, Rejection)>,
     /// The scheduled optimized trace, when any stream fit.
     pub candidate: Option<OptimizedTrace>,
-    /// Scheduling rejections for this trace.
-    pub sched_skips: Vec<(Pc, Rejection)>,
-}
-
-/// Aggregate counters feeding the final [`RunReport`].
-#[derive(Debug, Default)]
-pub struct OptCounters {
-    /// Stable phases that received at least one patched trace.
-    pub phases_optimized: usize,
-    /// Prefetch streams inserted, by pattern.
-    pub stats: InsertionStats,
-    /// Traces written to the trace pool.
-    pub traces_patched: usize,
-    /// Traces unpatched as non-profitable.
-    pub traces_unpatched: usize,
-    /// Loads instrumented for runtime stride discovery.
-    pub instrumented: usize,
-    /// Instrumented loads promoted to real prefetch streams.
-    pub promoted: usize,
+    /// Classification, then scheduling, rejections for this trace.
+    pub skips: Vec<(Pc, Rejection)>,
 }
 
 /// Everything the optimizer accumulates over a run: long-lived phase
-/// bookkeeping, the report-bound counters/telemetry, and the per-window
+/// bookkeeping, the report-bound event log and ledger, and the per-window
 /// scratch the passes hand each other.
 pub struct OptContext<'a> {
     /// The full ADORE configuration (passes read their own sections).
@@ -254,16 +237,11 @@ pub struct OptContext<'a> {
     /// mid-iteration inside an unpatched copy at harvest time, so buffers
     /// can only be reclaimed once execution has stopped.
     pub retired_buffers: Vec<(u64, u64)>,
-    /// Per-load rejections reported in [`RunReport::skips`] (§4.3).
-    pub skips: Vec<(Pc, Rejection)>,
-    /// Per-optimization-event details (diagnostics).
-    pub events: Vec<OptEvent>,
-    /// Structured deploy/instrument/promote/unpatch event stream.
-    pub event_log: EventStream,
+    /// Every optimizer decision, in the order taken; the report
+    /// counters are derived from it.
+    pub log: Vec<Event>,
     /// Per-pass overhead and accept/reject ledger.
     pub ledger: PipelineLedger,
-    /// Aggregate report counters.
-    pub counters: OptCounters,
     /// Per-window scratch state.
     pub scratch: WindowScratch,
     /// The adaptive policy controller (inert unless
@@ -282,11 +260,8 @@ impl<'a> OptContext<'a> {
             live_patches: Vec::new(),
             pending_instr: Vec::new(),
             retired_buffers: Vec::new(),
-            skips: Vec::new(),
-            events: Vec::new(),
-            event_log: EventStream::new(),
+            log: Vec::new(),
             ledger: PipelineLedger::new(&config.pipeline.order),
-            counters: OptCounters::default(),
             scratch: WindowScratch::default(),
             policy: PolicyController::new(&config.policy),
         }
@@ -333,23 +308,34 @@ impl<'a> OptContext<'a> {
             .unwrap_or(0)
     }
 
-    /// Moves the accumulated results into a report (cycles, retired and
-    /// window counts are the runtime's responsibility).
+    /// Moves the accumulated results into a fresh report, deriving its
+    /// counters from the event log (cycles, retired and window counts
+    /// are the runtime's responsibility).
     pub fn finish(mut self, report: &mut RunReport) {
         if self.config.policy.enable {
             self.policy.finish(self.timeline.len() as u64);
             report.policy = self.policy.report();
         }
         report.timeline = self.timeline;
-        report.phases_optimized = self.counters.phases_optimized;
-        report.stats = self.counters.stats;
-        report.traces_patched = self.counters.traces_patched;
-        report.traces_unpatched = self.counters.traces_unpatched;
-        report.instrumented = self.counters.instrumented;
-        report.promoted = self.counters.promoted;
-        report.skips = self.skips;
-        report.events = self.events;
-        report.event_log = self.event_log;
+        for event in &self.log {
+            match event {
+                Event::Deploy { patch, .. } | Event::Promote { patch, .. } => {
+                    report.traces_patched += 1;
+                    report.promoted += matches!(event, Event::Promote { .. }) as usize;
+                    report.stats += patch.stats;
+                }
+                Event::Instrument { .. } => report.instrumented += 1,
+                Event::Unpatch { restored, .. } => report.traces_unpatched += restored,
+                // Only a deploy publishes streams: a phase was optimized
+                // when its first window published any.
+                Event::Analyzed { new_phase, traces, .. } => {
+                    let published = traces.iter().any(|t| t.inserted.total() > 0);
+                    report.phases_optimized += (*new_phase && published) as usize;
+                }
+                Event::Rejected { .. } => {}
+            }
+        }
+        report.log = self.log;
         report.ledger = self.ledger;
     }
 }
@@ -562,21 +548,12 @@ impl Pass for InstrPromote {
                 continue;
             };
             let promoted = promote(&pi.trace, pi.load_pos, stride, pi.dist_iters)
-                .and_then(|ot| install(m, &ot).ok().map(|p| (ot, p)));
+                .and_then(|ot| install(m, &ot).ok());
             match promoted {
-                Some((ot, p)) => {
+                Some(p) => {
                     m.charge_cycles(ctx.config.patch_cost_cycles);
-                    ctx.counters.stats += ot.stats;
-                    ctx.counters.traces_patched += 1;
-                    ctx.counters.promoted += 1;
                     ctx.ledger.accept(PassKind::InstrPromote, 1);
-                    ctx.event_log.emit(
-                        "promote",
-                        Json::object()
-                            .with("at_cycles", m.cycles())
-                            .with("stride", stride)
-                            .with("patch", &p),
-                    );
+                    ctx.log.push(Event::Promote { at_cycles: m.cycles(), stride, patch: p });
                 }
                 None => ctx.ledger.reject(PassKind::InstrPromote, Rejection::PatchFailed),
             }
@@ -709,11 +686,7 @@ impl Pass for UnpatchMonitor {
             let (idx, cpi_before, _) = ctx.live_patches[pi];
             if sig.cpi > cpi_before * 1.02 {
                 let (_, _, patches) = ctx.live_patches.swap_remove(pi);
-                for patch in &patches {
-                    if unpatch(m, patch).is_ok() {
-                        ctx.counters.traces_unpatched += 1;
-                    }
-                }
+                let restored = patches.iter().filter(|p| unpatch(m, p).is_ok()).count();
                 m.charge_cycles(ctx.config.patch_cost_cycles);
                 ctx.optimized[idx].2 = true; // do not try again
                 ctx.ledger.accept(PassKind::UnpatchMonitor, 1);
@@ -722,14 +695,13 @@ impl Pass for UnpatchMonitor {
                     Rejection::CpiRegressed,
                     patches.len() as u64,
                 );
-                ctx.event_log.emit(
-                    "unpatch",
-                    Json::object()
-                        .with("at_cycles", m.cycles())
-                        .with("patches", patches.len() as u64)
-                        .with("cpi_before", cpi_before)
-                        .with("cpi_now", sig.cpi),
-                );
+                ctx.log.push(Event::Unpatch {
+                    at_cycles: m.cycles(),
+                    patches: patches.len(),
+                    restored,
+                    cpi_before,
+                    cpi_now: sig.cpi,
+                });
                 // The brake doubles as the policy fallback: a
                 // non-static arm in trial (or committed) is abandoned
                 // and the phase re-commits the static policy.
@@ -888,7 +860,7 @@ impl Pass for PatternAnalyze {
             }
             ctx.ledger.accept(PassKind::PatternAnalyze, classified.len() as u64);
             work.classified = classified;
-            work.class_skips = class_skips;
+            work.skips = class_skips;
         }
         Flow::Continue
     }
@@ -930,7 +902,7 @@ impl Pass for PrefetchSchedule {
                 ctx.ledger.accept(PassKind::PrefetchSchedule, ot.stats.total() as u64);
             }
             work.candidate = out.candidate;
-            work.sched_skips = out.skips;
+            work.skips.extend(out.skips);
         }
         Flow::Continue
     }
@@ -957,12 +929,11 @@ impl Pass for PatchDeploy {
         let now = ctx.scratch.now;
         let traces = std::mem::take(&mut ctx.scratch.traces);
         let mut work = std::mem::take(&mut ctx.scratch.work);
-        let mut patched_any = false;
         let mut new_patches: Vec<PatchedTrace> = Vec::new();
-        let mut event = OptEvent { at_cycles: m.cycles(), traces: Vec::new() };
+        let at_cycles = m.cycles();
+        let mut rows = Vec::with_capacity(traces.len());
         for (ti, trace) in traces.iter().enumerate() {
             let w = &mut work[ti];
-            let n_loads = w.mine.len();
             let mut inserted = InsertionStats::default();
             if trace.is_loop && !w.mine.is_empty() {
                 match w.candidate.take() {
@@ -971,18 +942,9 @@ impl Pass for PatchDeploy {
                             // Patch publication briefly pauses the main
                             // thread.
                             m.charge_cycles(ctx.config.patch_cost_cycles);
-                            ctx.counters.stats += ot.stats;
-                            inserted = ot.stats;
-                            ctx.counters.traces_patched += 1;
-                            patched_any = true;
+                            inserted = p.stats;
                             ctx.ledger.accept(PassKind::PatchDeploy, 1);
-                            ctx.event_log.emit(
-                                "deploy",
-                                Json::object()
-                                    .with("at_cycles", m.cycles())
-                                    .with("streams", ot.stats)
-                                    .with("patch", &p),
-                            );
+                            ctx.log.push(Event::Deploy { at_cycles: m.cycles(), patch: p.clone() });
                             new_patches.push(p);
                         } else {
                             ctx.ledger.reject(PassKind::PatchDeploy, Rejection::PatchFailed);
@@ -996,14 +958,23 @@ impl Pass for PatchDeploy {
                     }
                     None => {}
                 }
-                ctx.skips.append(&mut w.class_skips);
-                ctx.skips.append(&mut w.sched_skips);
+                let rejected = |&(pc, reason)| Event::Rejected { at_cycles, pc, reason };
+                ctx.log.extend(w.skips.iter().map(rejected));
             }
-            event
-                .traces
-                .push((trace.start, trace.is_loop, trace.bundles.len(), n_loads, inserted));
+            rows.push(TraceRow {
+                start: trace.start,
+                is_loop: trace.is_loop,
+                bundles: trace.bundles.len(),
+                loads: w.mine.len(),
+                inserted,
+            });
         }
-        ctx.events.push(event);
+        ctx.log.push(Event::Analyzed {
+            at_cycles,
+            new_phase: ctx.scratch.entry_idx.is_none(),
+            traces: rows,
+        });
+        let patched_any = !new_patches.is_empty();
         let idx = match ctx.scratch.entry_idx {
             Some(i) => {
                 ctx.optimized[i].1 += 1;
@@ -1021,9 +992,6 @@ impl Pass for PatchDeploy {
                 Some((_, _, v)) => v.extend(new_patches),
                 None => ctx.live_patches.push((idx, sig.cpi, new_patches)),
             }
-        }
-        if patched_any && ctx.scratch.entry_idx.is_none() {
-            ctx.counters.phases_optimized += 1;
         }
         // A successful deploy opens the next arm's trial for this
         // phase (no-op once the phase has committed or fallen back).
@@ -1046,7 +1014,7 @@ pub(crate) fn zero_buffer(m: &mut Machine, buffer: u64, capacity: u64) {
 /// unanalyzable load's address stream for later promotion.
 fn deploy_instrumentation(ctx: &mut OptContext<'_>, m: &mut Machine, trace: &Trace, w: &TraceWork) {
     let unanalyzable =
-        w.class_skips.iter().find(|(_, r)| matches!(r, Rejection::UnanalyzableSlice));
+        w.skips.iter().find(|(_, r)| matches!(r, Rejection::UnanalyzableSlice));
     let Some(load) = unanalyzable.and_then(|(pc, _)| w.mine.iter().find(|l| l.pc == *pc)) else {
         return;
     };
@@ -1066,15 +1034,12 @@ fn deploy_instrumentation(ctx: &mut OptContext<'_>, m: &mut Machine, trace: &Tra
     let dist_iters = ((load.avg_latency / body_cycles as f64).ceil() as u64).clamp(4, 256);
     if let Ok(p) = install(m, &instr.trace) {
         m.charge_cycles(ctx.config.patch_cost_cycles);
-        ctx.counters.instrumented += 1;
-        ctx.event_log.emit(
-            "instrument",
-            Json::object()
-                .with("at_cycles", m.cycles())
-                .with("buffer", buffer)
-                .with("dist_iters", dist_iters)
-                .with("patch", &p),
-        );
+        ctx.log.push(Event::Instrument {
+            at_cycles: m.cycles(),
+            buffer,
+            dist_iters,
+            patch: p.clone(),
+        });
         ctx.pending_instr.push(PendingInstr {
             patch: p,
             trace: trace.clone(),

@@ -11,10 +11,11 @@
 //! why total overhead stays in the 1–2 % range (Fig. 11).
 
 use isa::Pc;
-use obs::{EventStream, Json, ToJson};
+use obs::{Json, ToJson};
 use perfmon::{Perfmon, PerfmonConfig};
 use sim::{Machine, MachineConfig, SamplingConfig};
 
+use crate::event::Event;
 use crate::instrument::InstrumentConfig;
 use crate::phase::PhaseConfig;
 use crate::pipeline::{OptContext, Pipeline, PipelineConfig, PipelineLedger};
@@ -94,17 +95,8 @@ pub struct TimePoint {
     pub dear_per_kinsn: f64,
 }
 
-/// One optimization event (a stable phase being processed).
-#[derive(Debug, Clone)]
-pub struct OptEvent {
-    /// Cycle at which the event fired.
-    pub at_cycles: u64,
-    /// Per selected trace: (start, is_loop, bundle count, delinquent
-    /// loads mapped into it, streams inserted).
-    pub traces: Vec<(isa::Addr, bool, usize, usize, InsertionStats)>,
-}
-
-/// Result of a monitored run.
+/// Result of a monitored run. The optimizer counters are derived from
+/// [`RunReport::log`] by [`OptContext::finish`].
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Total cycles (including all charged overhead).
@@ -120,13 +112,8 @@ pub struct RunReport {
     pub traces_patched: usize,
     /// Per-window CPI / miss-rate series (Fig. 8/9).
     pub timeline: Vec<TimePoint>,
-    /// Loads that could not be prefetched, with reasons (§4.3's failure
-    /// analysis).
-    pub skips: Vec<(Pc, Rejection)>,
     /// Profile windows produced.
     pub windows: u64,
-    /// Per-optimization-event details (diagnostics).
-    pub events: Vec<OptEvent>,
     /// Traces unpatched because the phase got slower (non-profitable).
     pub traces_unpatched: usize,
     /// Loads instrumented for runtime stride discovery (§6 extension).
@@ -136,8 +123,8 @@ pub struct RunReport {
     /// Per-pass overhead ledger (invocations, charged cycles,
     /// accept/reject counts).
     pub ledger: PipelineLedger,
-    /// Structured deploy/instrument/promote/unpatch event stream.
-    pub event_log: EventStream,
+    /// Every optimizer decision, in the order taken.
+    pub log: Vec<Event>,
     /// Policy-controller decision log (empty and omitted from JSON when
     /// the controller is disabled, keeping default reports byte-stable).
     pub policy: PolicyReport,
@@ -161,17 +148,31 @@ impl ToJson for TimePoint {
     }
 }
 
+impl RunReport {
+    /// Loads that could not be prefetched, with reasons (§4.3's failure
+    /// analysis).
+    pub fn skips(&self) -> impl Iterator<Item = (Pc, Rejection)> + '_ {
+        self.log.iter().filter_map(|e| match e {
+            Event::Rejected { pc, reason, .. } => Some((*pc, *reason)),
+            _ => None,
+        })
+    }
+
+    /// The deploy/instrument/promote/unpatch actions as the report's
+    /// `event_log` array.
+    pub fn event_log(&self) -> Json {
+        Json::Array(self.log.iter().filter_map(Event::log_entry).collect())
+    }
+}
+
 impl ToJson for RunReport {
     /// The runtime-state section of every experiment report: deployment
     /// counts, per-pattern stream totals, skip reasons and the Fig. 8/9
     /// per-window timeline.
     fn to_json(&self) -> Json {
         let skips: Vec<Json> = self
-            .skips
-            .iter()
-            .map(|(pc, reason)| {
-                Json::object().with("pc", pc.to_string()).with("reason", *reason)
-            })
+            .skips()
+            .map(|(pc, reason)| Json::object().with("pc", pc.to_string()).with("reason", reason))
             .collect();
         let mut j = Json::object()
             .with("cycles", self.cycles)
@@ -186,7 +187,7 @@ impl ToJson for RunReport {
             .with("skips", skips)
             .with("timeline", self.timeline.as_slice())
             .with("pipeline", &self.ledger)
-            .with("event_log", &self.event_log);
+            .with("event_log", self.event_log());
         // Only adaptive runs carry a policy section: default reports
         // must stay byte-identical to the static-policy era.
         if self.policy.enabled {
@@ -418,7 +419,7 @@ mod tests {
             report.stats.direct >= 3,
             "re-optimization should cover all three streams: {:?} over {} events",
             report.stats,
-            report.events.len()
+            report.log.len()
         );
         assert!(report.traces_patched >= 1);
     }

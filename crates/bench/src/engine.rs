@@ -816,7 +816,7 @@ fn pipeline_comparison_cell(
         .with("streams", report.stats)
         .with("pipeline", &report.ledger)
         .with("sampling_overhead_cycles", sampling_overhead)
-        .with("events", &report.event_log))
+        .with("events", report.event_log()))
 }
 
 fn overhead_cell(w: &Workload, cell: &Cell, cache: &BaselineCache) -> Result<Json, CellError> {
@@ -1060,22 +1060,24 @@ fn diag_cell(w: &Workload, cell: &Cell, profile: bool, adore_run: bool) -> Resul
             lf_dropped,
             lf_issued
         )];
-        for (pc, reason) in &report.skips {
+        for (pc, reason) in report.skips() {
             let loop_name = bin
                 .loop_containing(pc.addr)
                 .map(|l| l.name.as_str())
                 .unwrap_or("?");
             alines.push(format!("  skip {pc} in `{loop_name}`: {reason}"));
         }
-        for e in &report.events {
-            alines.push(format!("  opt-event at {} cycles:", e.at_cycles));
-            for (start, is_loop, len, loads, ins) in &e.traces {
+        for e in &report.log {
+            let adore::Event::Analyzed { at_cycles, traces, .. } = e else { continue };
+            alines.push(format!("  opt-event at {at_cycles} cycles:"));
+            for t in traces {
                 let name = bin
-                    .loop_containing(*start)
+                    .loop_containing(t.start)
                     .map(|l| l.name.as_str())
                     .unwrap_or("?");
                 alines.push(format!(
-                    "    trace@{start} `{name}` loop={is_loop} bundles={len} loads={loads} inserted={ins:?}"
+                    "    trace@{} `{name}` loop={} bundles={} loads={} inserted={:?}",
+                    t.start, t.is_loop, t.bundles, t.loads, t.inserted
                 ));
             }
         }

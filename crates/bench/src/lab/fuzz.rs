@@ -63,7 +63,6 @@ pub(crate) fn registry() -> Registry {
         .uint("batch", None, "campaign: cases per round")
         .uint("minimize-evals", None, "campaign: shrink budget per mismatch")
         .value("campaign-dir", None, "campaign: corpus directory (env ADORE_CAMPAIGN_DIR)")
-        .flag("campaign-no-snapshot", "campaign: rebuild machines instead of snapshot-reset")
         .flag("progress", "campaign: per-round progress on stderr")
 }
 
@@ -165,7 +164,6 @@ fn campaign_main(cli: &Cli) {
             ..DiffConfig::default()
         },
         corpus_dir: Some(campaign_dir),
-        reuse_machines: !cli.flag("campaign-no-snapshot"),
         minimize_evals: cli
             .flag_uint("minimize-evals")
             .unwrap_or(defaults.minimize_evals as u64) as usize,
@@ -220,7 +218,6 @@ fn campaign_main(cli: &Cli) {
     let campaign_obj = Json::object()
         .with("rounds", stats.rounds as u64)
         .with("batch", cfg.batch as u64)
-        .with("snapshot", cfg.reuse_machines)
         .with("corpus_imported", stats.corpus_imported)
         .with("corpus_added", stats.corpus_added)
         .with("corpus_len", stats.corpus.len() as u64)

@@ -30,11 +30,12 @@
 //! ```
 //!
 //! A malformed request still produces its response line, with an
-//! `error` field inside the row. Volatile statistics (persistent-store
-//! hits, steal counts) go to stderr only, so the stdout stream is
-//! byte-identical for any `--jobs` value.
+//! `error` field inside the row, and so does a line that is not UTF-8
+//! or is longer than [`MAX_REQUEST_BYTES`]. Volatile statistics
+//! (persistent-store hits, steal counts) go to stderr only, so the
+//! stdout stream is byte-identical for any `--jobs` value.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -46,6 +47,10 @@ use crate::cli::{Cli, Registry};
 use crate::engine::{cell_seed, run_cell};
 use crate::store::{resolve_default_dir, BaselineStore};
 use crate::{BaselineCache, Cell, ExperimentSpec, Measure};
+
+/// Longest request line accepted, in bytes (line terminator excluded).
+/// A longer line is answered with one error row and skipped.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 pub(crate) const ABOUT: &str = "resident service: spec cells as JSON lines in, rows streamed out";
 
@@ -109,16 +114,41 @@ fn parse_measure(req: &Json) -> Result<Measure, String> {
     }
 }
 
+/// A request that could not be read or parsed: one error row.
+fn bad_request(e: String) -> Task {
+    Task { section: "cells".into(), bench: "?".into(), cell: Err(format!("bad request: {e}")) }
+}
+
+/// Reads the next request line, without its terminator, holding at most
+/// [`MAX_REQUEST_BYTES`] of it in memory. `None` at end of input or on a
+/// read error; `Some(Err)` for a line that is too long or not UTF-8
+/// (the rest of an over-long line is skipped).
+fn next_line(input: &mut impl BufRead) -> Option<Result<String, String>> {
+    let mut buf = Vec::new();
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
+    match Read::take(&mut *input, limit).read_until(b'\n', &mut buf) {
+        Ok(0) | Err(_) => return None,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_REQUEST_BYTES {
+        let _ = input.skip_until(b'\n');
+        return Some(Err(format!("line exceeds {MAX_REQUEST_BYTES} bytes")));
+    }
+    Some(String::from_utf8(buf).map_err(|_| "line is not valid UTF-8".to_string()))
+}
+
 /// Parses one request line into a [`Task`]. The suite lookup resolves
 /// the workload's `'static` name; the cell seed derives from
 /// (tool, section, workload) exactly like [`ExperimentSpec`] grids.
 fn parse_request(line: &str, suite: &[Workload]) -> Task {
-    let parsed: Result<Json, String> = Json::parse(line).map_err(|e| format!("bad request: {e}"));
-    let req = match parsed {
+    let req = match Json::parse(line) {
         Ok(req) => req,
-        Err(e) => {
-            return Task { section: "cells".into(), bench: "?".into(), cell: Err(e) };
-        }
+        Err(e) => return bad_request(e.to_string()),
     };
     let section = req.get("section").and_then(Json::as_str).unwrap_or("cells").to_string();
     let tool = req.get("tool").and_then(Json::as_str).unwrap_or("serve").to_string();
@@ -169,7 +199,7 @@ fn open_store(cli: &Cli) -> Option<Arc<BaselineStore>> {
 /// Requests run on the work-stealing pool while the feeder keeps
 /// reading, and responses flush line-by-line so a consumer sees a
 /// stable, byte-deterministic prefix even mid-stream.
-pub fn serve_io(cli: &Cli, input: impl BufRead + Send, out: &mut impl Write) -> ServeSummary {
+pub fn serve_io(cli: &Cli, mut input: impl BufRead + Send, out: &mut impl Write) -> ServeSummary {
     let suite = workloads::all(cli.scale);
     let store = open_store(cli);
     let cache = BaselineCache::with_store(store.clone());
@@ -195,12 +225,13 @@ pub fn serve_io(cli: &Cli, input: impl BufRead + Send, out: &mut impl Write) -> 
             (task.section, row)
         },
         move |sub| {
-            for line in input.lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                sub.push(parse_request(&line, suite_ref));
+            while let Some(line) = next_line(&mut input) {
+                let task = match line {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => parse_request(&line, suite_ref),
+                    Err(e) => bad_request(e),
+                };
+                sub.push(task);
             }
         },
         |i, (section, row): (String, Json)| {

@@ -8,7 +8,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use bench_harness::lab::serve::serve_io;
+use bench_harness::lab::serve::{serve_io, MAX_REQUEST_BYTES};
 use bench_harness::*;
 use compiler::CompileOptions;
 use obs::Json;
@@ -103,6 +103,38 @@ fn deeply_nested_request_gets_an_error_row_and_service_continues() {
     assert!(error.contains("nesting too deep"), "{error}");
     assert_eq!(rows[1].get("bench").and_then(Json::as_str), Some("swim"));
     assert!(rows[1].get("error").is_none(), "{}", rows[1]);
+}
+
+#[test]
+fn unreadable_and_oversized_lines_get_error_rows_and_service_continues() {
+    // A non-UTF-8 line once ended the session: every request after it
+    // was dropped and the service still reported "0 errors". A line
+    // that is not UTF-8 or is longer than the byte cap must cost one
+    // error row, and the requests around it must still be answered.
+    let requests: Vec<&str> = REQUESTS.lines().collect();
+    let mut at_cap = r#"{"workload":"nosuch"}"#.to_string();
+    at_cap += &" ".repeat(MAX_REQUEST_BYTES - at_cap.len());
+    let mut input = format!("{}\n", requests[0]).into_bytes();
+    input.extend_from_slice(b"{\"workload\":\"sw\xffim\"}\n");
+    input.extend_from_slice(format!("{at_cap} \n{at_cap}\n{}\n", requests[1]).as_bytes());
+    let mut out = Vec::new();
+    let summary = serve_io(&serve_cli(1), input.as_slice(), &mut out);
+    assert_eq!((summary.cells, summary.errors), (5, 3));
+
+    let stream = String::from_utf8(out).expect("utf8 stream");
+    let rows: Vec<Json> = stream
+        .lines()
+        .map(|l| Json::parse(l).unwrap().get("row").expect("row").clone())
+        .collect();
+    let error = |i: usize| rows[i].get("error").and_then(Json::as_str).unwrap_or("").to_string();
+    assert!(error(1).contains("not valid UTF-8"), "{}", rows[1]);
+    assert!(error(2).contains("exceeds"), "{}", rows[2]);
+    // A line exactly at the cap is still read and parsed.
+    assert!(error(3).contains("unknown workload"), "{}", rows[3]);
+    for (i, bench) in [(0, "swim"), (4, "art")] {
+        assert_eq!(rows[i].get("bench").and_then(Json::as_str), Some(bench));
+        assert!(rows[i].get("error").is_none(), "{}", rows[i]);
+    }
 }
 
 fn store_spec(dir: &PathBuf) -> ExperimentSpec {

@@ -9,9 +9,6 @@
 //!   deterministic serializer (object keys keep insertion order) and a
 //!   small parser used by tests and `tools/ci.sh` to validate emitted
 //!   reports.
-//! * [`events`] — an append-only stream of structured events (the
-//!   optimizer pipeline's deploy/unpatch/instrument/promote record),
-//!   serialized as a JSON array inside experiment reports.
 //! * [`bench`] — a lightweight bench timer (warmup + N measured
 //!   iterations; min/median/mean wall time, plus simulated-cycle and
 //!   cycles-per-element figures when the benched closure reports them).
@@ -30,14 +27,12 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod events;
 pub mod json;
 pub mod pool;
 pub mod progress;
 pub mod report;
 
 pub use bench::{BenchConfig, BenchResult, BenchSuite};
-pub use events::EventStream;
 pub use json::{Json, ToJson};
 pub use pool::{run_indexed, service_scope, PoolStats, Submitter};
 pub use progress::{Progress, ProgressEntry};

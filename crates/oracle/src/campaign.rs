@@ -67,9 +67,6 @@ pub struct CampaignConfig {
     /// Persistent corpus directory: minimized entries are written here
     /// and `*.txt` reproducers found here are imported in round 0.
     pub corpus_dir: Option<PathBuf>,
-    /// Evaluate on snapshot-reset machines (`false` rebuilds machines
-    /// per case — the A/B baseline for the snapshot path).
-    pub reuse_machines: bool,
     /// Shrinker budget per admitted corpus entry (0 disables corpus
     /// minimization).
     pub minimize_evals: usize,
@@ -90,7 +87,6 @@ impl Default for CampaignConfig {
             alternate_exec: false,
             mutate: MutateConfig::default(),
             corpus_dir: None,
-            reuse_machines: true,
             minimize_evals: 24,
             progress: false,
         }
@@ -268,19 +264,11 @@ fn evaluate_batch(
     let (results, runners, _pool) = obs::pool::run_indexed(
         cfg.jobs.max(1),
         (0..plan.len()).collect(),
-        |_| (CaseRunner::new(), 0u64),
-        |(runner, fresh_builds): &mut (CaseRunner, u64), _shard, i: usize| {
+        |_| CaseRunner::new(),
+        |runner: &mut CaseRunner, _shard, i: usize| {
             let started = Instant::now();
             let diff = case_diff(cfg, plan[i].case_seed);
-            let result = if cfg.reuse_machines {
-                check_case(&plan[i].spec, &diff, runner)
-            } else {
-                // A/B baseline: fresh machines per case.
-                let mut fresh = CaseRunner::new();
-                let r = check_case(&plan[i].spec, &diff, &mut fresh);
-                *fresh_builds += fresh.builds;
-                r
-            };
+            let result = check_case(&plan[i].spec, &diff, runner);
             if let Some(p) = &progress {
                 let label = format!("{} {:#018x}", plan[i].origin, plan[i].case_seed);
                 p.item_done(i, &label, started.elapsed());
@@ -289,8 +277,8 @@ fn evaluate_batch(
         },
     );
 
-    for (runner, fresh_builds) in runners {
-        stats.machine_builds += runner.builds + fresh_builds;
+    for runner in runners {
+        stats.machine_builds += runner.builds;
         stats.machine_resets += runner.resets;
     }
     results

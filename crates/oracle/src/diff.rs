@@ -219,16 +219,17 @@ fn run_coverage(outcome: CaseOutcome, report: &adore::RunReport) -> RunCoverage 
             }
         }
     }
-    for event in &report.events {
-        for (_start, is_loop, bundles, delinq, stats) in &event.traces {
+    for event in &report.log {
+        let adore::Event::Analyzed { traces, .. } = event else { continue };
+        for t in traces {
             // Which prefetch schedules actually got planted — the
             // jump-pointer key is what proves the generator's chase
             // segments reach the dependence-based scheduling arm.
             for (key, n) in [
-                ("prefetch:direct", stats.direct),
-                ("prefetch:indirect", stats.indirect),
-                ("prefetch:pointer", stats.pointer),
-                ("prefetch:jump", stats.jump),
+                ("prefetch:direct", t.inserted.direct),
+                ("prefetch:indirect", t.inserted.indirect),
+                ("prefetch:pointer", t.inserted.pointer),
+                ("prefetch:jump", t.inserted.jump),
             ] {
                 if n > 0 {
                     keys.push(key.into());
@@ -239,9 +240,9 @@ fn run_coverage(outcome: CaseOutcome, report: &adore::RunReport) -> RunCoverage 
             // delinquent-load bucket.
             keys.push(format!(
                 "shape:{}_b{}_d{}",
-                if *is_loop { "loop" } else { "line" },
-                (*bundles).min(8),
-                (*delinq).min(4),
+                if t.is_loop { "loop" } else { "line" },
+                t.bundles.min(8),
+                t.loads.min(4),
             ));
         }
     }
@@ -652,6 +653,10 @@ pub fn shrink(spec: &ProgSpec, cfg: &DiffConfig) -> ProgSpec {
 /// actually spent. The campaign uses it with a coverage-preservation
 /// predicate to minimize corpus entries; [`shrink`] uses it with
 /// "still mismatches".
+///
+/// A range is dropped only when the mutation engine could delete every
+/// item in it, so a shrunk loop keeps its counter decrement and the
+/// writes that keep its address registers in-arena.
 pub fn shrink_with(
     spec: &ProgSpec,
     max_evals: usize,
@@ -675,7 +680,12 @@ pub fn shrink_with(
                 if evals >= max_evals {
                     return (best, evals);
                 }
-                let candidate = best.without_items(lo, lo + chunk);
+                let hi = (lo + chunk).min(best.items.len());
+                if !best.items[lo..hi].iter().all(crate::mutate::deletable) {
+                    lo += chunk;
+                    continue;
+                }
+                let candidate = best.without_items(lo, hi);
                 if candidate.items.len() < best.items.len()
                     && keep(&candidate, &mut evals)
                 {
@@ -716,7 +726,7 @@ pub fn shrink_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::{generate, GenConfig};
+    use crate::generator::{generate, static_coverage, GenConfig};
     use isa::{CmpOp, Insn, Op};
     use crate::spec::{BranchKind, Item};
 
@@ -943,6 +953,71 @@ mod tests {
             assert!(evals <= budget, "budget {budget} exceeded: {evals} evals");
             assert!(min.items.len() <= spec.items.len());
         }
+    }
+
+    /// Whether the reference run of `spec` leaves a non-zero word in the
+    /// scratch headroom past the arena — memory no disciplined program
+    /// stores to, and where the ADORE leg keeps its recording buffers.
+    fn writes_scratch(spec: &ProgSpec) -> bool {
+        let program = spec.assemble().expect("assembles");
+        let mut interp = Interp::new(program, (spec.arena_bytes + INSTR_SCRATCH) as usize);
+        spec.init_memory(interp.mem_mut());
+        interp.run(DiffConfig::default().fuel);
+        let start = interp.mem().base() + spec.arena_bytes;
+        (0..INSTR_SCRATCH / 8).any(|i| interp.mem().read(start + 8 * i, 8) != 0)
+    }
+
+    #[test]
+    fn no_deletable_item_keeps_a_program_inside_the_arena() {
+        // Deleting a jump-chase build loop's `and` with the ring mask
+        // once let its ring pointer walk out of the arena and through
+        // the runtime's scratch memory, where detaching zeroed the ADORE
+        // leg's instrumentation buffer under the program's own stores:
+        // a memory-digest "mismatch" no disciplined program can cause.
+        // Every item the mutation engine or the shrinker may delete must
+        // be safe to delete on its own.
+        let chases = (0..).map(|seed| generate(seed, &GenConfig::default()).0);
+        for spec in chases.filter(|s| static_coverage(s).jump_loops > 0).take(3) {
+            assert!(!writes_scratch(&spec));
+            for i in (0..spec.items.len()).filter(|&i| crate::mutate::deletable(&spec.items[i])) {
+                let without = spec.without_items(i, i + 1);
+                let seed = spec.seed;
+                assert!(!writes_scratch(&without), "seed {seed}: deleting item {i} left the arena");
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_and_shrunk_programs_stay_inside_the_arena() {
+        let (parent, _) = (0..)
+            .map(|seed| generate(seed, &GenConfig::default()))
+            .find(|(_, cov)| cov.jump_loops > 0 && cov.loops > cov.jump_loops)
+            .expect("some seed generates a jump chase and a walker loop");
+        let cfg = crate::mutate::MutateConfig { max_stack: 6, ..Default::default() };
+        for seed in 0..24 {
+            let (child, ops) = crate::mutate::mutate(&parent, None, seed, &cfg);
+            assert!(!writes_scratch(&child), "seed {seed}: mutation {ops:?} left the arena");
+            // An always-keep shrink removes everything it is allowed to.
+            let (min, _) = shrink_with(&child, 400, |_| true);
+            assert!(!writes_scratch(&min), "seed {seed}: shrinking left the arena");
+        }
+    }
+
+    #[test]
+    fn shrinking_keeps_structure_and_protected_writes() {
+        let (spec, _) = generate(3, &GenConfig::default());
+        let (min, _) = shrink_with(&spec, usize::MAX, |_| true);
+        // Only `movl` immediates may change (the halving pass).
+        let shape = |it: &Item| match it {
+            Item::Insn(Insn { qp, op: Op::MovL { d, .. } }) => {
+                Item::Insn(Insn { qp: *qp, op: Op::MovL { d: *d, imm: 0 } })
+            }
+            other => other.clone(),
+        };
+        let kept: Vec<Item> =
+            spec.items.iter().filter(|it| !crate::mutate::deletable(it)).map(shape).collect();
+        assert!(!kept.is_empty());
+        assert_eq!(min.items.iter().map(shape).collect::<Vec<_>>(), kept);
     }
 
     #[test]

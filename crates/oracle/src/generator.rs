@@ -19,7 +19,9 @@
 //!   ring of pointer nodes the segment itself built inside its region,
 //!   the other dereferences each node's jump pointer. Every value those
 //!   registers can hold is a node address the build loop stored, so
-//!   chasing them stays in-arena (`tests/corpus/` pins the same idiom);
+//!   chasing them stays in-arena (`tests/corpus/` pins the same idiom).
+//!   The build loop bounds those addresses only with the **chase
+//!   registers** `r23`–`r26`, which nothing else writes;
 //! * **data registers** (`r8`–`r20`, `r31`–`r45`) hold arbitrary
 //!   values; only speculative (`ld.s`) and `lfetch` accesses — both
 //!   non-faulting — go through them, except for deliberate rare "wild"
@@ -39,6 +41,8 @@ use crate::spec::{BranchKind, Item, ProgSpec};
 /// Address registers, one per arena region (shared with the mutation
 /// engine, whose safety predicate protects the same registers).
 pub(crate) const ADDR_REGS: [Gr; 4] = [Gr(4), Gr(5), Gr(6), Gr(7)];
+/// The jump-chase build loop's mask, cursor, next-cursor and scratch.
+pub(crate) const CHASE_REGS: [Gr; 4] = [Gr(23), Gr(24), Gr(25), Gr(26)];
 /// Inner / outer loop counters.
 pub(crate) const INNER_COUNTER: Gr = Gr(21);
 pub(crate) const OUTER_COUNTER: Gr = Gr(22);
@@ -594,7 +598,12 @@ impl Gen {
         let jump_step = hops * step;
         let trips = self.rng.range_u64(700, 1600) as i64;
         let outer = self.rng.range_u64(5, 11) as i64;
-        let [rbase, rcur, rnext, rjoff, rabs, rmask] = self.distinct_data_regs::<6>();
+        // The partner register holds the region base while the ring is
+        // built. The six-register draw keeps every seed's program as it
+        // was outside the build loop.
+        let rbase = jump_reg;
+        let [rmask, rcur, rnext, rabs] = CHASE_REGS;
+        let [_, acc, dst, _, _, _] = self.distinct_data_regs::<6>();
 
         let build = self.fresh_label("jmp_build");
         let outer_label = self.fresh_label("jmp_outer");
@@ -603,6 +612,7 @@ impl Gen {
         // Build loop: node.next = base + ((cur + step) & mask),
         // node.jump = base + ((cur + hops*step) & mask).
         self.cov.st8 += 2;
+        self.cov.rebases += 1;
         self.put(Insn::new(Op::MovL { d: rbase, imm: base as i64 }), false);
         self.put(Insn::new(Op::MovL { d: rcur, imm: 0 }), false);
         self.put(Insn::new(Op::MovL { d: rmask, imm: mask }), false);
@@ -616,9 +626,9 @@ impl Gen {
             Insn::new(Op::St { s: rabs, base: ring_reg, post_inc: 8, size: AccessSize::U8 }),
             false,
         );
-        self.put(Insn::new(Op::AddI { d: rjoff, a: rcur, imm: jump_step }), false);
-        self.put(Insn::new(Op::And { d: rjoff, a: rjoff, b: rmask }), false);
-        self.put(Insn::new(Op::Add { d: rabs, a: rbase, b: rjoff }), false);
+        self.put(Insn::new(Op::AddI { d: rabs, a: rcur, imm: jump_step }), false);
+        self.put(Insn::new(Op::And { d: rabs, a: rabs, b: rmask }), false);
+        self.put(Insn::new(Op::Add { d: rabs, a: rbase, b: rabs }), false);
         self.put(
             Insn::new(Op::St { s: rabs, base: ring_reg, post_inc: 0, size: AccessSize::U8 }),
             false,
@@ -635,8 +645,6 @@ impl Gen {
         // load, whose base derives from the recurrent ring pointer —
         // exactly the two-leg dependence ADORE's pattern analyzer
         // resolves to Pattern::JumpPointer.
-        let acc = rcur; // setup scratch, free after the build loop
-        let dst = rnext;
         self.cov.ld8 += 3;
         self.put(Insn::new(Op::MovL { d: OUTER_COUNTER, imm: outer }), false);
         self.items.push(Item::Label(outer_label.clone()));

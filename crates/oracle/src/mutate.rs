@@ -4,14 +4,18 @@
 //! instead of always generating from scratch. Every operator stays
 //! inside the generator's register-discipline contract (see the
 //! `generator` module docs): protected registers — the pinned address
-//! registers `r4`–`r7`, the loop counters `r21`/`r22`, ADORE's
-//! reserved `r27`–`r30` — are never written by mutated code, loop
+//! registers `r4`–`r7`, the jump-chase registers `r23`–`r26`, the loop
+//! counters `r21`/`r22`, ADORE's reserved `r27`–`r30` — are never
+//! written by mutated code (nor is an instruction writing one deleted
+//! or its immediate tweaked, except for bounded trip counts), loop
 //! control predicates (`p6`–`p8`, `p14`/`p15`) are never clobbered,
 //! and structural items (labels, branches, `halt`) are never replaced
-//! or deleted. Structure *is* mutated, but only in closed units: a
-//! splice copies a self-contained block (all branch targets inside,
-//! no outside branch targeting in) from a donor, with its labels
-//! renamed, into a top-level position of the child.
+//! or deleted. The shrinker obeys the same rule ([`deletable`]), so
+//! minimized corpus entries stay valid mutation parents. Structure
+//! *is* mutated, but only in closed units: a splice copies a
+//! self-contained block (all branch targets inside, no outside branch
+//! targeting in) from a donor, with its labels renamed, into a
+//! top-level position of the child.
 //!
 //! Mutated programs may fault — a wild store is a legitimate fuzz case
 //! — but the fault is architectural and identical on every leg, so
@@ -22,7 +26,9 @@
 use isa::{Gr, Insn, Op, Pr};
 use workloads::Rng64;
 
-use crate::generator::{random_safe_items, GenConfig, ADDR_REGS, INNER_COUNTER, OUTER_COUNTER};
+use crate::generator::{
+    random_safe_items, GenConfig, ADDR_REGS, CHASE_REGS, INNER_COUNTER, OUTER_COUNTER,
+};
 use crate::spec::{BranchKind, Item, ProgSpec};
 
 /// Mutation tuning.
@@ -109,9 +115,10 @@ pub fn mutate(
 }
 
 /// Registers mutated code must never write: pinned address registers,
-/// loop counters, and ADORE's reserved block.
+/// jump-chase registers, loop counters, and ADORE's reserved block.
 fn protected_gr(r: Gr) -> bool {
     ADDR_REGS.contains(&r)
+        || CHASE_REGS.contains(&r)
         || r == INNER_COUNTER
         || r == OUTER_COUNTER
         || Gr::RESERVED.contains(&r)
@@ -162,17 +169,20 @@ fn halt_index(items: &[Item]) -> usize {
         .unwrap_or(items.len())
 }
 
-/// Indices of mutable instructions (anywhere — main body or subs).
+/// True when removing `item` keeps the register discipline: a mutable
+/// instruction or a bundle stop. The delete operator and the shrinker
+/// remove nothing else.
+pub(crate) fn deletable(item: &Item) -> bool {
+    match item {
+        Item::Insn(insn) => mutable_insn(insn),
+        Item::Flush => true,
+        Item::Label(_) | Item::Branch { .. } => false,
+    }
+}
+
+/// Indices of deletable items (anywhere — main body or subs).
 fn mutable_indices(items: &[Item]) -> Vec<usize> {
-    items
-        .iter()
-        .enumerate()
-        .filter_map(|(i, it)| match it {
-            Item::Insn(insn) if mutable_insn(insn) => Some(i),
-            Item::Flush => Some(i),
-            _ => None,
-        })
-        .collect()
+    (0..items.len()).filter(|&i| deletable(&items[i])).collect()
 }
 
 /// Replaces one mutable instruction with freshly generated safe items.
@@ -209,8 +219,10 @@ fn delete_op(spec: &mut ProgSpec, rng: &mut Rng64) -> bool {
 }
 
 /// Perturbs one immediate. Loop-counter `movl`s stay bounded (the
-/// termination guarantee), address-register `movl`s are protected
-/// entirely, everything else wanders freely.
+/// termination guarantee); every other instruction writing a protected
+/// register or predicate (counter decrements, loop-control compares,
+/// rebases, jump-chase arithmetic) is left alone; everything else
+/// wanders freely.
 fn tweak_imm(spec: &mut ProgSpec, rng: &mut Rng64) -> bool {
     let eligible: Vec<usize> = spec
         .items
@@ -218,8 +230,10 @@ fn tweak_imm(spec: &mut ProgSpec, rng: &mut Rng64) -> bool {
         .enumerate()
         .filter_map(|(i, it)| match it {
             Item::Insn(insn) => match insn.op {
-                Op::AddI { .. } | Op::CmpI { .. } => Some(i),
-                Op::MovL { d, .. } if !ADDR_REGS.contains(&d) && !Gr::RESERVED.contains(&d) => {
+                Op::AddI { .. } | Op::CmpI { .. } if mutable_insn(insn) => Some(i),
+                Op::MovL { d, .. }
+                    if d == INNER_COUNTER || d == OUTER_COUNTER || !protected_gr(d) =>
+                {
                     Some(i)
                 }
                 _ => None,

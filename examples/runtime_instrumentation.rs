@@ -33,8 +33,7 @@ fn main() {
         stock.cycles,
         stock.stats.total(),
         stock
-            .skips
-            .iter()
+            .skips()
             .filter(|(_, r)| matches!(r, adore::Rejection::UnanalyzableSlice))
             .count()
     );

@@ -203,13 +203,12 @@ fn check_mcf_gains_and_lucas_does_not(p: &Profile) {
     );
     assert!(
         lucas_report
-            .skips
-            .iter()
+            .skips()
             .any(|(_, r)| matches!(r, adore::Rejection::UnanalyzableSlice
                 | adore::Rejection::LoopInvariantAddress
                 | adore::Rejection::NotALoad)),
         "and the failure should be visible as unanalyzable slices: {:?}",
-        lucas_report.skips
+        lucas_report.skips().collect::<Vec<_>>()
     );
 }
 

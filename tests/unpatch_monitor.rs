@@ -99,9 +99,9 @@ fn cpi_regression_is_unpatched_and_ledgered_on_both_exec_paths() {
             "[{exec_path}] the monitor accepted (executed) an unpatch: {monitor:?}"
         );
         let unpatch_events = report
-            .event_log
+            .log
             .iter()
-            .filter(|e| e.get("kind").and_then(|k| k.as_str()) == Some("unpatch"))
+            .filter(|e| matches!(e, adore::Event::Unpatch { .. }))
             .count();
         assert!(
             unpatch_events >= 1,

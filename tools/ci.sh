@@ -50,9 +50,12 @@
 #      and coverage scheduling on) run at --jobs 1 and --jobs 4 must
 #      produce byte-identical reports and corpus directories; the
 #      campaign report schema (coverage keys, mutation/origin ledgers,
-#      inconclusive counter) is validated, and the snapshot path is
-#      A/B-timed against --campaign-no-snapshot. ADORE_NIGHTLY=1
+#      inconclusive counter) is validated. ADORE_NIGHTLY=1
 #      additionally runs a >=100k-case campaign sweep.
+#   5c. committed-report freshness: `lab table2`, `lab diag` and
+#      `lab ablation --pass-smoke` rerun at --quick must reproduce
+#      results/table2.json, results/diag.json and results/ablation.json
+#      modulo generated_unix_s and the volatile engine subsections
 #   6. per-pass ablation smoke: every optimizer pass disabled once on
 #      one workload, then schema validation of the per-pass overhead
 #      ledger, rejection taxonomy and event stream in
@@ -371,7 +374,7 @@ assert doc["inconclusive"] >= 0, "inconclusive counter must be present"
 assert sum(doc["outcomes"].values()) + doc["inconclusive"] + doc["undecided"] \
     + doc["mismatches"] == doc["cases"], "verdict counts must cover all cases"
 c = doc["campaign"]
-for key in ("rounds", "batch", "snapshot", "corpus_imported", "corpus_added",
+for key in ("rounds", "batch", "corpus_imported", "corpus_added",
             "corpus_len", "new_key_events", "coverage_keys", "coverage_hits",
             "mutations", "origins"):
     assert key in c, f"campaign section missing {key!r}"
@@ -392,22 +395,6 @@ print(f"  ok: {doc['cases']} campaign cases, corpus +{c['corpus_added']},"
       f" origins {dict(c['origins'])}, {doc['inconclusive']} inconclusive")
 EOF
 rm -rf "$cdir1" "$cdir2"
-
-echo "== A/B: snapshot-reset machines vs fresh machines per case =="
-cdir3=$(mktemp -d)
-t0=$(date +%s%N)
-ADORE_CAMPAIGN_DIR="$cdir3" cargo run --release -q -p adore-bench --bin lab -- fuzz \
-    --campaign --rounds=2 --batch=32 --seed=11 --minimize-evals=0 --jobs 2 \
-    --campaign-no-snapshot
-nosnap_ms=$(ms_since "$t0")
-rm -rf "$cdir3"; cdir3=$(mktemp -d)
-t0=$(date +%s%N)
-ADORE_CAMPAIGN_DIR="$cdir3" cargo run --release -q -p adore-bench --bin lab -- fuzz \
-    --campaign --rounds=2 --batch=32 --seed=11 --minimize-evals=0 --jobs 2
-snap_ms=$(ms_since "$t0")
-rm -rf "$cdir3"
-echo "wall-clock: fresh-machines ${nosnap_ms}ms, snapshot-reset ${snap_ms}ms" \
-     "(ratio $(python3 -c "print(f'{$nosnap_ms/max($snap_ms,1):.2f}x')"))"
 
 if [ "${ADORE_NIGHTLY:-0}" = "1" ]; then
     echo "== nightly: campaign sweep (>=100k cases) =="
@@ -446,6 +433,29 @@ wins = sum(r["win"] for r in rows.values())
 print(f"  ok: {wins} adaptive wins over 20 workloads; family wins: {family_wins}")
 EOF
 fi
+
+echo "== committed reports: table2, diag and the ablation pass smoke are fresh =="
+fresh_dir=$(mktemp -d)
+for cmd in "table2 --quick" "diag --quick" "ablation --quick --pass-smoke"; do
+    # shellcheck disable=SC2086  # word-split the subcommand and its flags
+    ADORE_RESULTS_DIR="$fresh_dir" cargo run --release -q -p adore-bench --bin lab -- \
+        $cmd --jobs 2 > /dev/null
+done
+python3 - "$fresh_dir" <<'EOF'
+import json, sys
+def canonical(path):
+    doc = json.load(open(path))
+    doc["generated_unix_s"] = 0
+    doc["engine"]["scheduling"] = {}
+    doc["engine"]["baseline_store"] = {}
+    return json.dumps(doc, indent=1)
+for tool in ("table2", "diag", "ablation"):
+    committed, fresh = f"results/{tool}.json", f"{sys.argv[1]}/{tool}.json"
+    assert canonical(committed) == canonical(fresh), (
+        f"{committed} is stale: a fresh --quick run differs; regenerate and commit it")
+    print(f"  ok: {committed} matches a fresh run")
+EOF
+rm -rf "$fresh_dir"
 
 echo "== smoke: per-pass ablation (each pass disabled once) =="
 t0=$(date +%s%N)
