@@ -336,12 +336,14 @@ pub struct Hierarchy {
     l2_line_mask: u64,
     /// `log2(l1i_line)` for the ifetch memo's line number.
     l1i_line_shift: u32,
-    /// Line of the most recent `ifetch` hit. L1I state changes only
-    /// through `ifetch`, so consecutive fetches of the same line can
-    /// skip the lookup exactly: no other L1I stamp can move in
-    /// between, the memoized line already holds its set's newest
-    /// stamp, and a hit touches no lower level.
-    last_ifetch_line: u64,
+    /// Per L1I set, the line that holds the set's newest LRU stamp
+    /// (`u64::MAX`: none known). L1I state changes only through
+    /// `ifetch`, which refreshes the memo after every lookup, so a
+    /// fetch of a memoized line can skip the lookup exactly: the hit
+    /// would only re-stamp the line that is already its set's newest,
+    /// which leaves the LRU order of every set unchanged, and a hit
+    /// touches no lower level.
+    l1i_mru: Vec<u64>,
     lfetch_issued: u64,
     lfetch_dropped: u64,
 }
@@ -359,9 +361,12 @@ pub struct AccessResult {
 impl Hierarchy {
     /// Builds the hierarchy from a configuration.
     pub fn new(config: CacheConfig) -> Hierarchy {
+        let l1i = Cache::new("L1I", config.l1i_size, config.l1i_line, config.l1i_ways);
         Hierarchy {
             l1d: Cache::new("L1D", config.l1d_size, config.l1d_line, config.l1d_ways),
-            l1i: Cache::new("L1I", config.l1i_size, config.l1i_line, config.l1i_ways),
+            // No code line can reach u64::MAX, so MAX means "no memo".
+            l1i_mru: vec![u64::MAX; l1i.sets],
+            l1i,
             l2: Cache::new("L2", config.l2_size, config.l2_line, config.l2_ways),
             l3: Cache::new("L3", config.l3_size, config.l3_line, config.l3_ways),
             inflight: Vec::new(),
@@ -369,8 +374,6 @@ impl Hierarchy {
             mem_next_free: 0,
             l2_line_mask: !(config.l2_line - 1),
             l1i_line_shift: config.l1i_line.trailing_zeros(),
-            // No code line can reach u64::MAX, so MAX means "no memo".
-            last_ifetch_line: u64::MAX,
             config,
             lfetch_issued: 0,
             lfetch_dropped: 0,
@@ -390,7 +393,7 @@ impl Hierarchy {
         self.inflight.clear();
         self.pending_fills.clear();
         self.mem_next_free = 0;
-        self.last_ifetch_line = u64::MAX;
+        self.l1i_mru.fill(u64::MAX);
         self.lfetch_issued = 0;
         self.lfetch_dropped = 0;
     }
@@ -580,21 +583,23 @@ impl Hierarchy {
     #[inline]
     pub fn ifetch(&mut self, addr: u64, _now: u64) -> u64 {
         let line = addr >> self.l1i_line_shift;
-        if line == self.last_ifetch_line {
-            // Repeat of the last fetched line: guaranteed L1I hit; only
-            // the hit counter needs to move (see field docs).
+        let set = line as usize & (self.l1i_mru.len() - 1);
+        if self.l1i_mru[set] == line {
+            // The set's most recently used line: guaranteed L1I hit;
+            // only the hit counter needs to move (see field docs).
             self.l1i.hits += 1;
             return 0;
         }
-        self.ifetch_new_line(addr, line)
+        self.ifetch_new_line(addr, line, set)
     }
 
-    /// Out-of-line half of [`Hierarchy::ifetch`] for a line other than
-    /// the memoized one; keeps the per-bundle inlined path to a shift
-    /// and a compare.
+    /// Out-of-line half of [`Hierarchy::ifetch`] for a line that is not
+    /// its set's memoized MRU line; keeps the per-bundle inlined path
+    /// to a shift, a mask and a compare. Hit or miss, the fetched line
+    /// ends up with its set's newest stamp, so it becomes the memo.
     #[inline(never)]
-    fn ifetch_new_line(&mut self, addr: u64, line: u64) -> u64 {
-        self.last_ifetch_line = line;
+    fn ifetch_new_line(&mut self, addr: u64, line: u64, set: usize) -> u64 {
+        self.l1i_mru[set] = line;
         if self.l1i.access_fill(addr) {
             return 0;
         }
@@ -605,6 +610,24 @@ impl Hierarchy {
         } else {
             self.config.mem_latency
         }
+    }
+
+    /// The instruction fetches of `fetches` bundles at `first..=last`
+    /// (byte addresses) in one step, when every L1I line in the range
+    /// is its set's memoized MRU line: each fetch is then an L1I hit
+    /// that changes no cache state (see [`Hierarchy::ifetch`]), so
+    /// only the hit counter moves and the call returns `true`.
+    /// Otherwise it changes nothing and returns `false`.
+    #[inline]
+    pub fn ifetch_resident(&mut self, first: u64, last: u64, fetches: u64) -> bool {
+        let mask = self.l1i_mru.len() - 1;
+        for line in first >> self.l1i_line_shift..=last >> self.l1i_line_shift {
+            if self.l1i_mru[line as usize & mask] != line {
+                return false;
+            }
+        }
+        self.l1i.hits += fetches;
+        true
     }
 
     /// Number of misses currently in flight.
@@ -736,6 +759,126 @@ mod tests {
         assert!(s1 > 0);
         let s2 = h.ifetch(0x4000_0000, 10);
         assert_eq!(s2, 0);
+    }
+
+    #[test]
+    fn ifetch_resident_needs_every_line_to_be_its_sets_mru() {
+        let mut h = small();
+        let base = 0x4000_0000;
+        // Nothing fetched yet: nothing is resident, nothing moves.
+        assert!(!h.ifetch_resident(base, base + 127, 8));
+        assert_eq!(h.cache_stats()[1], (0, 0));
+        h.ifetch(base, 0);
+        h.ifetch(base + 64, 0);
+        assert!(h.ifetch_resident(base, base + 127, 8));
+        assert_eq!(h.cache_stats()[1], (8, 2));
+        // A line 4 KiB away shares the first line's set and becomes
+        // its MRU line: the range is no longer resident.
+        h.ifetch(base + 4096, 0);
+        assert!(!h.ifetch_resident(base, base + 127, 8));
+        assert!(h.ifetch_resident(base + 64, base + 127, 4));
+        assert_eq!(h.cache_stats()[1], (12, 3));
+    }
+
+    /// The L1I → L2 → L3 instruction-fetch path without any memo: every
+    /// fetch is a full lookup and fill.
+    struct MemoFreeIfetch {
+        config: CacheConfig,
+        l1i: Cache,
+        l2: Cache,
+        l3: Cache,
+    }
+
+    impl MemoFreeIfetch {
+        fn new(config: &CacheConfig) -> MemoFreeIfetch {
+            let c = config;
+            MemoFreeIfetch {
+                l1i: Cache::new("L1I", c.l1i_size, c.l1i_line, c.l1i_ways),
+                l2: Cache::new("L2", c.l2_size, c.l2_line, c.l2_ways),
+                l3: Cache::new("L3", c.l3_size, c.l3_line, c.l3_ways),
+                config: c.clone(),
+            }
+        }
+
+        fn ifetch(&mut self, addr: u64) -> u64 {
+            if self.l1i.access_fill(addr) {
+                0
+            } else if self.l2.access_fill(addr) {
+                self.config.l2_latency
+            } else if self.l3.access_fill(addr) {
+                self.config.l3_latency
+            } else {
+                self.config.mem_latency
+            }
+        }
+
+        fn cache_stats(&self) -> [(u64, u64); 4] {
+            [(0, 0), self.l1i.stats(), self.l2.stats(), self.l3.stats()]
+        }
+    }
+
+    /// `Hierarchy::ifetch` and `ifetch_resident` against
+    /// [`MemoFreeIfetch`] on seeded random code-address streams: loops,
+    /// far jumps, and lines 4 KiB apart that conflict in one L1I set.
+    /// Stalls must agree per fetch, and the cache statistics at the end
+    /// of every stream.
+    #[test]
+    fn ifetch_memo_matches_a_memo_free_model() {
+        let config = CacheConfig {
+            l2_size: 32 * 1024,
+            l3_size: 192 * 1024,
+            ..CacheConfig::default()
+        };
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % n
+        };
+        let code = 0x4000_0000u64;
+        for case in 0..64 {
+            let mut h = Hierarchy::new(config.clone());
+            let mut model = MemoFreeIfetch::new(&config);
+            let fetch = |h: &mut Hierarchy, model: &mut MemoFreeIfetch, addr: u64| {
+                let want = model.ifetch(addr);
+                assert_eq!(h.ifetch(addr, 0), want, "case {case} addr {addr:#x}");
+            };
+            for _ in 0..200 {
+                match next(4) {
+                    // A loop: a straight run fetched several times,
+                    // sometimes as one resident range.
+                    0 | 1 => {
+                        let start = code + next(1 << 14) * 16;
+                        let len = 1 + next(40);
+                        for _ in 0..1 + next(12) {
+                            let last = start + (len - 1) * 16;
+                            if next(2) == 0 && h.ifetch_resident(start, last, len) {
+                                for b in 0..len {
+                                    assert_eq!(model.ifetch(start + b * 16), 0, "case {case}");
+                                }
+                            } else {
+                                for b in 0..len {
+                                    fetch(&mut h, &mut model, start + b * 16);
+                                }
+                            }
+                        }
+                    }
+                    // A far jump.
+                    2 => fetch(&mut h, &mut model, code + next(1 << 16) * 16),
+                    // 5 to 8 lines 4 KiB apart, one L1I set, visited in
+                    // random order.
+                    _ => {
+                        let base = code + next(64) * 64 + next(4) * 16;
+                        let lines = 5 + next(4);
+                        for _ in 0..4 * lines {
+                            fetch(&mut h, &mut model, base + next(lines) * 4096);
+                        }
+                    }
+                }
+            }
+            assert_eq!(h.cache_stats(), model.cache_stats(), "case {case}");
+        }
     }
 
     #[test]

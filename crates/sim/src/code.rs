@@ -19,11 +19,10 @@
 //! operation, never between steps — while tests can assert that a
 //! patch really did fix up its entry by comparing tags.
 //!
-//! Each entry also carries its bundle's **quiet form** (see
-//! [`QuietForm`]): the compact, pre-resolved slot list the fast tier's
-//! quiet run executes when no scoreboard read can stall. It is derived
-//! whenever the entry is decoded, so every generation bump re-derives
-//! it together with the rest of the entry.
+//! The store also builds the fast tier's **quiet blocks** (see
+//! [`QuietBlock`]) on first use, into a flat op arena. Every generation
+//! bump drops all built blocks, so a block can never outlive a patch of
+//! any bundle it covers.
 
 use isa::{Addr, Bundle, CmpOp, Insn, Op, Program, TRACE_POOL_BASE};
 
@@ -115,7 +114,7 @@ pub enum IntOp {
 ///
 /// [`IntInsn::from_op`] is the only mapping from [`Op`] to this form
 /// and `Machine::exec_int` the only place its semantics live; the
-/// generic slot executor and the quiet run both go through them.
+/// generic slot executor and quiet blocks both go through them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntInsn {
     /// The operation.
@@ -171,7 +170,7 @@ impl IntInsn {
     }
 }
 
-/// What one slot of a quiet bundle does.
+/// What one op of a quiet block does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuietOp {
     /// A single-cycle integer instruction; its operands are the
@@ -207,6 +206,43 @@ pub struct QuietSlot {
 }
 
 impl QuietSlot {
+    /// The quiet form of `insn` in slot `slot`: `Ok(None)` for a nop or
+    /// `alloc` (no effect), `Err(())` when the instruction is outside
+    /// the quiet set (memory, floating point, call/return, halt).
+    fn of(insn: &Insn, slot: u8) -> Result<Option<QuietSlot>, ()> {
+        let mut q = QuietSlot {
+            op: QuietOp::Br,
+            qp: insn.qp.map_or(0, |p| p.0),
+            slot,
+            d: 0,
+            pf: 0,
+            a: 0,
+            b: 0,
+            imm: 0,
+        };
+        match insn.op {
+            Op::Nop(_) | Op::Alloc => return Ok(None),
+            Op::Br { target } => q.imm = target.0 as i64,
+            Op::BrCond { target } => {
+                q.op = QuietOp::BrCond;
+                q.imm = target.0 as i64;
+            }
+            ref op => {
+                let i = IntInsn::from_op(op).ok_or(())?;
+                q = QuietSlot {
+                    op: QuietOp::Int(i.op),
+                    d: i.d,
+                    pf: i.pf,
+                    a: i.a,
+                    b: i.b,
+                    imm: i.imm,
+                    ..q
+                };
+            }
+        }
+        Ok(Some(q))
+    }
+
     /// The integer instruction of an [`QuietOp::Int`] slot.
     #[inline(always)]
     pub fn int(&self, op: IntOp) -> IntInsn {
@@ -221,73 +257,37 @@ impl QuietSlot {
     }
 }
 
-/// The compact form of a **quiet** bundle: every slot is a nop,
-/// `alloc`, single-cycle integer instruction, `br` or `br.cond`, so
-/// once no scoreboard read can stall, the bundle's timing is static
-/// (see [`crate::exec`]). Nops and `alloc`s have no effect and are
-/// dropped; the remaining slots are kept in slot order.
+/// The most bundles one [`QuietBlock`] covers.
+pub const QUIET_BLOCK_CAP: u64 = 32;
+
+/// A **quiet block**: the straight-line run of quiet bundles entered at
+/// `entry`. A bundle is quiet when every slot is a nop, `alloc`,
+/// single-cycle integer instruction, `br` or `br.cond`. The block ends
+/// with the first bundle that holds a `br`/`br.cond` slot (included),
+/// before the first bundle that is not quiet or not mapped, or after
+/// [`QUIET_BLOCK_CAP`] bundles, whichever comes first; so only its last
+/// bundle can branch. Its effectful slots lie in slot order in the
+/// store's op arena ([`CodeStore::block_ops`]); nops and `alloc`s are
+/// dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuietForm {
-    /// The effectful slots; only the first `len` entries are live.
-    slots: [QuietSlot; 3],
-    /// Number of live entries in `slots` (at most 3).
-    len: u8,
+pub struct QuietBlock {
+    /// Address of the entry bundle.
+    pub entry: Addr,
+    /// Number of bundles, 1 to [`QUIET_BLOCK_CAP`].
+    pub bundles: u64,
+    /// First arena index of the block's ops.
+    ops_start: u32,
+    /// First arena index of the last bundle's ops.
+    last_ops: u32,
+    /// One past the block's last arena index.
+    ops_end: u32,
 }
 
-impl QuietForm {
-    /// The quiet form of `bundle`, or `None` when any slot is outside
-    /// the quiet set.
-    fn derive(bundle: &Bundle) -> Option<QuietForm> {
-        let unused = QuietSlot {
-            op: QuietOp::Br,
-            qp: 0,
-            slot: 0,
-            d: 0,
-            pf: 0,
-            a: 0,
-            b: 0,
-            imm: 0,
-        };
-        let mut form = QuietForm {
-            slots: [unused; 3],
-            len: 0,
-        };
-        for (s, insn) in bundle.slots.iter().enumerate() {
-            let mut q = QuietSlot {
-                qp: insn.qp.map_or(0, |p| p.0),
-                slot: s as u8,
-                ..unused
-            };
-            match insn.op {
-                Op::Nop(_) | Op::Alloc => continue,
-                Op::Br { target } => q.imm = target.0 as i64,
-                Op::BrCond { target } => {
-                    q.op = QuietOp::BrCond;
-                    q.imm = target.0 as i64;
-                }
-                ref op => {
-                    let i = IntInsn::from_op(op)?;
-                    q = QuietSlot {
-                        op: QuietOp::Int(i.op),
-                        d: i.d,
-                        pf: i.pf,
-                        a: i.a,
-                        b: i.b,
-                        imm: i.imm,
-                        ..q
-                    };
-                }
-            }
-            form.slots[form.len as usize] = q;
-            form.len += 1;
-        }
-        Some(form)
-    }
-
-    /// The live slots, in slot order.
+impl QuietBlock {
+    /// Address of the block's last bundle.
     #[inline]
-    pub fn slots(&self) -> &[QuietSlot] {
-        &self.slots[..self.len as usize]
+    pub fn last(&self) -> Addr {
+        self.entry.offset_bundles(self.bundles as i64 - 1)
     }
 }
 
@@ -305,9 +305,6 @@ pub struct DecodedBundle {
     /// bundle level): lets the fast path retire padding slots without
     /// even copying them out of the arena.
     pub nop_mask: u8,
-    /// The bundle's quiet form; `None` when a slot is outside the quiet
-    /// set (memory, floating point, call/return, halt).
-    pub quiet: Option<QuietForm>,
     /// Store generation at which this entry was (re)decoded.
     pub generation: u64,
 }
@@ -333,7 +330,6 @@ impl DecodedBundle {
             slots,
             cond_branch_mask,
             nop_mask,
-            quiet: QuietForm::derive(bundle),
             generation,
         }
     }
@@ -349,30 +345,47 @@ pub struct CodeLoc {
     pub index: u32,
 }
 
+/// `CodeStore` block-index value of a bundle whose quiet block has not
+/// been built since the last generation bump.
+const UNBUILT: u32 = 0;
+/// `CodeStore` block-index value of a bundle that is not quiet, so no
+/// block is entered there.
+const NO_BLOCK: u32 = u32::MAX;
+
 /// A dense arena of predecoded bundles mirroring the static program
-/// image and the trace pool. See the module docs for the coherence
-/// protocol. The default store is empty (no code, generation 0).
+/// image and the trace pool, plus the quiet blocks built over them. See
+/// the module docs for the coherence protocol. The default store is
+/// empty (no code, generation 0).
 #[derive(Debug, Default)]
 pub struct CodeStore {
     code_base: u64,
     static_bundles: Vec<DecodedBundle>,
     pool: Vec<DecodedBundle>,
     generation: u64,
+    /// Per static bundle: the quiet block entered there, as an index
+    /// into `blocks` plus one, or [`UNBUILT`] / [`NO_BLOCK`].
+    static_blocks: Vec<u32>,
+    /// The same for the trace-pool bundles.
+    pool_blocks: Vec<u32>,
+    /// Headers of the blocks built since the last generation bump.
+    blocks: Vec<QuietBlock>,
+    /// The op arena the block headers index.
+    block_ops: Vec<QuietSlot>,
 }
 
 impl CodeStore {
     /// Predecodes every bundle of `program` (generation 0, empty pool).
     pub fn new(program: &Program) -> CodeStore {
-        let static_bundles = program
+        let static_bundles: Vec<DecodedBundle> = program
             .bundles()
             .iter()
             .map(|b| DecodedBundle::decode(b, 0))
             .collect();
         CodeStore {
             code_base: program.code_base(),
+            static_blocks: vec![UNBUILT; static_bundles.len()],
             static_bundles,
-            pool: Vec::new(),
-            generation: 0,
+            ..CodeStore::default()
         }
     }
 
@@ -384,18 +397,30 @@ impl CodeStore {
     /// same tag discipline that keeps live patching coherent keeps
     /// machine reuse coherent.
     pub fn reset(&mut self, program: &Program) {
-        self.generation += 1;
+        self.bump_generation();
         let generation = self.generation;
         self.code_base = program.code_base();
         self.static_bundles.clear();
         self.static_bundles
             .extend(program.bundles().iter().map(|b| DecodedBundle::decode(b, generation)));
+        self.static_blocks.resize(self.static_bundles.len(), UNBUILT);
         self.pool.clear();
+        self.pool_blocks.clear();
     }
 
     /// Current store generation; bumped by every mutation.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// Starts a new generation: bumps the tag and drops every built
+    /// quiet block, since a block may cover the bundle being changed.
+    fn bump_generation(&mut self) {
+        self.generation += 1;
+        self.static_blocks.fill(UNBUILT);
+        self.pool_blocks.fill(UNBUILT);
+        self.blocks.clear();
+        self.block_ops.clear();
     }
 
     /// Resolves a code address to a store location, mirroring
@@ -439,12 +464,98 @@ impl CodeStore {
         self.decoded(loc).slots[slot as usize]
     }
 
+    /// The quiet block entered at the bundle containing `addr`, built
+    /// on first use; `None` when that bundle is unmapped or not quiet.
+    #[inline]
+    pub fn quiet_block(&mut self, addr: Addr) -> Option<QuietBlock> {
+        let loc = self.locate(addr)?;
+        let id = if loc.pool {
+            self.pool_blocks[loc.index as usize]
+        } else {
+            self.static_blocks[loc.index as usize]
+        };
+        match id {
+            NO_BLOCK => None,
+            UNBUILT => self.build_block(addr.bundle_align(), loc),
+            id => Some(self.blocks[id as usize - 1]),
+        }
+    }
+
+    /// Builds and indexes the quiet block entered at `loc` (whose
+    /// address is `entry`), or marks `loc` as entering none.
+    #[inline(never)]
+    fn build_block(&mut self, entry: Addr, loc: CodeLoc) -> Option<QuietBlock> {
+        let segment = if loc.pool {
+            &self.pool
+        } else {
+            &self.static_bundles
+        };
+        let ops_start = self.block_ops.len() as u32;
+        let mut last_ops = ops_start;
+        let mut bundles = 0;
+        'bundles: for db in segment[loc.index as usize..]
+            .iter()
+            .take(QUIET_BLOCK_CAP as usize)
+        {
+            let mut slots = [None; 3];
+            for (s, ds) in db.slots.iter().enumerate() {
+                match QuietSlot::of(&ds.insn, s as u8) {
+                    Ok(q) => slots[s] = q,
+                    Err(()) => break 'bundles,
+                }
+            }
+            last_ops = self.block_ops.len() as u32;
+            self.block_ops.extend(slots.iter().flatten());
+            bundles += 1;
+            if slots
+                .iter()
+                .flatten()
+                .any(|q| !matches!(q.op, QuietOp::Int(_)))
+            {
+                break;
+            }
+        }
+        let (block, id) = if bundles == 0 {
+            (None, NO_BLOCK)
+        } else {
+            let b = QuietBlock {
+                entry,
+                bundles,
+                ops_start,
+                last_ops,
+                ops_end: self.block_ops.len() as u32,
+            };
+            self.blocks.push(b);
+            (Some(b), self.blocks.len() as u32)
+        };
+        if loc.pool {
+            self.pool_blocks[loc.index as usize] = id;
+        } else {
+            self.static_blocks[loc.index as usize] = id;
+        }
+        block
+    }
+
+    /// The effectful slots of `block`, in execution order.
+    #[inline]
+    pub fn block_ops(&self, block: &QuietBlock) -> &[QuietSlot] {
+        &self.block_ops[block.ops_start as usize..block.ops_end as usize]
+    }
+
+    /// The effectful slots of `block`'s last bundle, the only one that
+    /// can hold a branch.
+    #[inline]
+    pub fn last_bundle_ops(&self, block: &QuietBlock) -> &[QuietSlot] {
+        &self.block_ops[block.last_ops as usize..block.ops_end as usize]
+    }
+
     /// Predecodes and appends freshly installed trace-pool bundles.
     pub fn install_pool(&mut self, bundles: &[Bundle]) {
-        self.generation += 1;
+        self.bump_generation();
         let generation = self.generation;
         self.pool
             .extend(bundles.iter().map(|b| DecodedBundle::decode(b, generation)));
+        self.pool_blocks.resize(self.pool.len(), UNBUILT);
     }
 
     /// Re-decodes the entry at `addr` after a patch replaced its
@@ -455,7 +566,7 @@ impl CodeStore {
         let Some(loc) = self.locate(addr) else {
             return false;
         };
-        self.generation += 1;
+        self.bump_generation();
         let decoded = DecodedBundle::decode(bundle, self.generation);
         if loc.pool {
             self.pool[loc.index as usize] = decoded;
@@ -557,10 +668,29 @@ mod tests {
         }
     }
 
+    fn at(index: u64) -> Addr {
+        Addr(CODE_BASE + index * Addr::BUNDLE_BYTES)
+    }
+
+    fn load_bundle() -> Bundle {
+        let ld = Insn::new(Op::Ld {
+            d: Gr(20),
+            base: Gr(14),
+            post_inc: 0,
+            size: AccessSize::U8,
+            spec: false,
+        });
+        Bundle::pack(&[ld]).unwrap()
+    }
+
+    fn br_bundle() -> Bundle {
+        Bundle::branch_only(Insn::new(Op::Br { target: at(0) }))
+    }
+
     #[test]
-    fn quiet_form_keeps_effectful_slots_in_slot_order() {
-        let target = Addr(CODE_BASE + 32);
-        let b = Bundle {
+    fn quiet_block_keeps_effectful_slots_in_slot_order() {
+        let target = at(5);
+        let branchy = Bundle {
             template: isa::Template::Mib,
             slots: [
                 Insn::new(Op::Alloc),
@@ -572,20 +702,37 @@ mod tests {
                 Insn::predicated(Pr(1), Op::BrCond { target }),
             ],
         };
-        let form = DecodedBundle::decode(&b, 0).quiet.expect("quiet bundle");
-        let slots = form.slots();
-        assert_eq!(slots.len(), 2, "alloc is dropped");
-        assert_eq!((slots[0].slot, slots[0].qp), (1, 0));
-        assert_eq!(slots[0].op, QuietOp::Int(IntOp::Add));
-        assert_eq!(slots[0].int(IntOp::Add).imm, -1);
-        assert_eq!((slots[1].slot, slots[1].qp), (2, 1));
-        assert_eq!(slots[1].op, QuietOp::BrCond);
-        assert_eq!(slots[1].imm as u64, target.0);
+        let mut store = CodeStore::new(&prog(vec![nop_bundle(), branchy, nop_bundle()]));
+        let block = store.quiet_block(at(0)).expect("quiet entry");
+        assert_eq!(
+            (block.entry, block.bundles, block.last()),
+            (at(0), 2, at(1))
+        );
+        let ops = store.block_ops(&block);
+        assert_eq!(ops.len(), 2, "nops and alloc are dropped");
+        assert_eq!((ops[0].slot, ops[0].qp), (1, 0));
+        assert_eq!(ops[0].op, QuietOp::Int(IntOp::Add));
+        assert_eq!(ops[0].int(IntOp::Add).imm, -1);
+        assert_eq!((ops[1].slot, ops[1].qp), (2, 1));
+        assert_eq!(ops[1].op, QuietOp::BrCond);
+        assert_eq!(ops[1].imm as u64, target.0);
+        assert_eq!(
+            store.last_bundle_ops(&block),
+            ops,
+            "the last bundle holds both"
+        );
+        let from_mid = store.quiet_block(Addr(CODE_BASE + 17)).unwrap();
+        assert_eq!(
+            (from_mid.entry, from_mid.bundles),
+            (at(1), 1),
+            "mid-bundle address"
+        );
+        assert_eq!(
+            store.quiet_block(at(0)),
+            Some(block),
+            "built once, then looked up"
+        );
 
-        let all_nops = DecodedBundle::decode(&nop_bundle(), 0)
-            .quiet
-            .expect("nops are quiet");
-        assert!(all_nops.slots().is_empty());
         for loud in [
             Insn::new(Op::Halt),
             Insn::new(Op::BrRet),
@@ -595,26 +742,70 @@ mod tests {
             }),
         ] {
             let b = Bundle::pack(&[loud]).unwrap();
-            assert!(DecodedBundle::decode(&b, 0).quiet.is_none(), "{loud:?}");
+            let mut store = CodeStore::new(&prog(vec![b]));
+            assert_eq!(store.quiet_block(at(0)), None, "{loud:?}");
         }
+        assert_eq!(store.quiet_block(at(3)), None, "unmapped");
     }
 
     #[test]
-    fn replace_rederives_the_quiet_form() {
-        let mut store = CodeStore::new(&prog(vec![nop_bundle()]));
-        let loc = store.locate(Addr(CODE_BASE)).unwrap();
-        assert!(store.decoded(loc).quiet.is_some());
-        let ld = Insn::new(Op::Ld {
-            d: Gr(20),
-            base: Gr(14),
-            post_inc: 0,
-            size: AccessSize::U8,
-            spec: false,
-        });
-        store.replace(Addr(CODE_BASE), &Bundle::pack(&[ld]).unwrap());
-        assert!(
-            store.decoded(loc).quiet.is_none(),
-            "a load makes the bundle loud"
+    fn blocks_end_at_the_cap_a_loud_bundle_or_the_segment_end() {
+        let mut bundles = vec![nop_bundle(); 40];
+        bundles.push(load_bundle());
+        bundles.push(nop_bundle());
+        let mut store = CodeStore::new(&prog(bundles));
+        assert_eq!(store.quiet_block(at(0)).unwrap().bundles, QUIET_BLOCK_CAP);
+        assert_eq!(
+            store.quiet_block(at(20)).unwrap().bundles,
+            20,
+            "ends before the load"
+        );
+        assert_eq!(store.quiet_block(at(40)), None);
+        assert_eq!(
+            store.quiet_block(at(41)).unwrap().bundles,
+            1,
+            "ends at the segment end"
+        );
+    }
+
+    #[test]
+    fn replace_ends_an_earlier_block_before_a_loud_bundle() {
+        let mut bundles = vec![nop_bundle(); 5];
+        bundles.push(br_bundle());
+        let mut store = CodeStore::new(&prog(bundles));
+        assert_eq!(store.quiet_block(at(0)).unwrap().bundles, 6);
+        assert!(store.replace(at(3), &load_bundle()));
+        assert_eq!(store.quiet_block(at(0)).unwrap().bundles, 3);
+        assert_eq!(store.quiet_block(at(3)), None);
+        assert_eq!(store.quiet_block(at(4)).unwrap().bundles, 2);
+        // Replacing it back with a quiet bundle joins the run again.
+        assert!(store.replace(at(3), &nop_bundle()));
+        assert_eq!(store.quiet_block(at(0)).unwrap().bundles, 6);
+    }
+
+    #[test]
+    fn install_pool_and_reset_drop_built_blocks() {
+        let mut store = CodeStore::new(&prog(vec![nop_bundle(), br_bundle()]));
+        let block = store.quiet_block(at(0)).unwrap();
+        assert_eq!(store.quiet_block(at(1)).unwrap().bundles, 1);
+        assert_eq!((store.blocks.len(), store.block_ops.len()), (2, 2));
+
+        store.install_pool(&[nop_bundle(), br_bundle()]);
+        assert!(store.blocks.is_empty() && store.block_ops.is_empty());
+        assert!(store.static_blocks.iter().all(|&id| id == UNBUILT));
+        assert_eq!(store.quiet_block(at(0)), Some(block), "rebuilt alike");
+        let pool = store.quiet_block(Addr(TRACE_POOL_BASE)).unwrap();
+        assert_eq!((pool.entry.0, pool.bundles), (TRACE_POOL_BASE, 2));
+
+        let halt = Bundle::branch_only(Insn::new(Op::Halt));
+        store.reset(&prog(vec![halt, nop_bundle(), nop_bundle()]));
+        assert!(store.blocks.is_empty() && store.block_ops.is_empty());
+        assert_eq!(store.quiet_block(at(0)), None, "the new program's bundle");
+        assert_eq!(store.quiet_block(at(1)).unwrap().bundles, 2);
+        assert_eq!(
+            store.quiet_block(Addr(TRACE_POOL_BASE)),
+            None,
+            "pool emptied"
         );
     }
 

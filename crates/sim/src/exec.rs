@@ -20,16 +20,18 @@
 //!   no architectural or timing effect, so the skip is exact);
 //! - **sampling checks hoisted**: when sampling is off, the run loop
 //!   contains no sample-buffer or sample-due checks at all;
-//! - **quiet run**: while `cycle >= quiet_at` (no scoreboard read can
-//!   stall), consecutive *quiet* bundles — only nops, `alloc`,
-//!   single-cycle integer ops, compares, `br` and `br.cond` — execute
-//!   from their compact [`QuietForm`](crate::code::QuietForm), across
-//!   taken branches, without the per-slot scoreboard walk, slot copy,
-//!   full `Op` match or fault/halt checks (see `Machine::quiet_run`).
+//! - **quiet blocks**: while `cycle >= quiet_at` (no scoreboard read
+//!   can stall), code made of *quiet* bundles — only nops, `alloc`,
+//!   single-cycle integer ops, compares, `br` and `br.cond` — runs one
+//!   straight-line [`QuietBlock`] at a time from the code store's op
+//!   arena, with the block's instruction fetches, retirement and
+//!   pairing / taken-branch timing settled once per block, and without
+//!   the per-slot scoreboard walk, slot copy, full `Op` match or
+//!   fault/halt checks (see `Machine::quiet_run`).
 //!
 //! Instruction semantics are not duplicated: both paths call the same
-//! `Machine::exec_slot_op` / `retire_bundle` helpers, and the quiet run
-//! calls `Machine::exec_int`, the integer semantics `exec_slot_op`
+//! `Machine::exec_slot_op` / `retire_bundle` helpers, and quiet blocks
+//! call `Machine::exec_int`, the integer semantics `exec_slot_op`
 //! itself uses, so the fast path cannot drift on what an instruction
 //! *does* — only on how the bundle is fetched and scheduled, which is
 //! exactly what the golden cycle-exactness tests, the sampled
@@ -38,7 +40,7 @@
 
 use isa::{Addr, Insn, Pc};
 
-use crate::code::{QuietOp, FLAG_FR_READS};
+use crate::code::{CodeStore, QuietBlock, QuietOp, FLAG_FR_READS};
 use crate::machine::{Fault, Machine};
 
 impl Machine {
@@ -144,31 +146,34 @@ impl Machine {
         }
     }
 
-    /// The fast tier's quiet run: executes consecutive quiet bundles
-    /// from their [`QuietForm`](crate::code::QuietForm)s, starting at
-    /// `ip`. The caller guarantees `cycle >= quiet_at`; single-cycle
-    /// integer results are ready in their issuing cycle, so the
-    /// watermark never passes the clock during the run and every
-    /// scoreboard read would be a no-op — the skipped stall walk is
-    /// exact, and the bundle's timing is just the instruction fetch
-    /// plus the shared pairing / taken-branch rule.
+    /// The fast tier's quiet run: executes whole quiet blocks, one
+    /// after another, from `ip`. The caller guarantees
+    /// `cycle >= quiet_at`; quiet results are ready in their issuing
+    /// cycle, so the watermark stays behind the clock and every
+    /// scoreboard read a block skips would be a no-op.
     ///
-    /// Stop protocol: after each bundle that ends at or past
-    /// `cycle_limit`, or at or past the next sample point (the sample
-    /// is taken there, exactly as `retire_bundle` would), the run
-    /// returns `true` and the caller hands control back to
-    /// `Machine::drive`, so every stop lands on the same bundle as a
-    /// bundle-at-a-time tier. It returns `false` — with no stop check
-    /// pending — when the bundle at `ip` is unmapped or not quiet; the
-    /// caller then steps that bundle on the generic path.
-    pub(crate) fn quiet_run<const SAMPLING: bool>(&mut self, cycle_limit: u64) -> bool {
+    /// A block runs only when it runs whole with nothing to observe
+    /// inside it:
+    ///
+    /// - it cannot reach the stop bound: its `n` bundles advance the
+    ///   clock by at most `⌈n/2⌉ + taken_branch_penalty`, and that must
+    ///   stay below `min(cycle_limit, next sample point)` (0 while the
+    ///   sample buffer is full), so no bundle of it would stop the run
+    ///   or take a sample;
+    /// - every L1I line it covers is its set's most recently used line
+    ///   ([`Hierarchy::ifetch_resident`](crate::Hierarchy::ifetch_resident)),
+    ///   so each of its fetches is a hit that changes no cache state.
+    ///
+    /// The run returns, with nothing half done, at the first block that
+    /// fails either test or at a bundle that enters no block (unmapped
+    /// or not quiet). The caller then steps that bundle on the generic
+    /// path, so stops, samples and L1I misses all happen there.
+    pub(crate) fn quiet_run(&mut self, cycle_limit: u64) {
         debug_assert!(self.cycle >= self.quiet_at);
         // Samples are only taken when due, and `next_at` only moves
-        // when one is taken, so one bound covers both stops. A caller
-        // that resumes with the buffer still full gets its overflow
-        // stop after one bundle, as `drive` would give it.
+        // when one is taken, so one bound covers both stops.
         let stop_at = match (&self.samples, &self.config.sampling) {
-            (Some(ss), Some(cfg)) if SAMPLING => {
+            (Some(ss), Some(cfg)) => {
                 if ss.buffer.len() >= cfg.buffer_capacity {
                     0
                 } else {
@@ -178,82 +183,74 @@ impl Machine {
             _ => cycle_limit,
         };
         // The code store is moved out for the duration of the run (a
-        // few-word move, no allocation) so the forms can be borrowed in
+        // small move, no allocation) so block ops can be borrowed in
         // place while the machine state mutates; nothing in the loop
         // touches code.
-        let store = std::mem::take(&mut self.store);
-        let stopped = self.quiet_bundles::<SAMPLING>(&store, stop_at);
+        let mut store = std::mem::take(&mut self.store);
+        let penalty = self.config.taken_branch_penalty;
+        while let Some(block) = store.quiet_block(self.ip) {
+            let n = block.bundles;
+            if self.cycle + n.div_ceil(2) + penalty >= stop_at
+                || !self
+                    .caches
+                    .ifetch_resident(block.entry.0, block.last().0, n)
+            {
+                break;
+            }
+            self.run_block(&store, &block);
+        }
         self.store = store;
-        stopped
     }
 
-    /// The loop of [`Machine::quiet_run`] over a borrowed code store.
+    /// Executes `block` whole; [`Machine::quiet_run`] has checked that
+    /// it may, and has counted its instruction fetches.
     #[inline(always)]
-    fn quiet_bundles<const SAMPLING: bool>(
-        &mut self,
-        store: &crate::code::CodeStore,
-        stop_at: u64,
-    ) -> bool {
-        loop {
-            let bundle_addr = self.ip;
-            let Some(loc) = store.locate(bundle_addr) else {
-                return false;
-            };
-            let Some(form) = &store.decoded(loc).quiet else {
-                return false;
-            };
-
-            let istall = self.caches.ifetch(bundle_addr.0, self.cycle);
-            if istall > 0 {
-                self.pmu.counters.l1i_misses += 1;
-                self.pmu.counters.stall_icache += istall;
-                self.cycle += istall;
-                self.half_bundle = false;
+    fn run_block(&mut self, store: &CodeStore, block: &QuietBlock) {
+        let n = block.bundles;
+        let last = block.last();
+        // Every slot retires, nops and predicated-off ones included, up
+        // to and including a taken branch, which only the last bundle
+        // can hold.
+        let mut retired = 3 * n;
+        let mut taken: Option<Addr> = None;
+        for q in store.block_ops(block) {
+            if !self.pr[q.qp as usize] {
+                continue;
             }
-
-            // Every slot retires, nops and predicated-off ones included,
-            // up to and including a taken branch.
-            let mut retired = 3;
-            let mut taken: Option<Addr> = None;
-            let fall_through = bundle_addr.offset_bundles(1);
-            for q in form.slots() {
-                if !self.pr[q.qp as usize] {
-                    continue;
+            match q.op {
+                QuietOp::Int(op) => self.exec_int::<true>(q.int(op)),
+                QuietOp::Br | QuietOp::BrCond => {
+                    let target = Addr(q.imm as u64);
+                    self.pmu.record_branch(Pc::new(last, q.slot), target, true);
+                    taken = Some(target);
+                    retired = 3 * (n - 1) + u64::from(q.slot) + 1;
+                    break;
                 }
-                match q.op {
-                    QuietOp::Int(op) => self.exec_int(q.int(op)),
-                    QuietOp::Br | QuietOp::BrCond => {
-                        let target = Addr(q.imm as u64);
-                        self.pmu
-                            .record_branch(Pc::new(bundle_addr, q.slot), target, true);
-                        taken = Some(target);
-                        retired = u64::from(q.slot) + 1;
-                        break;
-                    }
-                }
-            }
-            self.pmu.counters.retired += retired;
-
-            // Predicated-off `br.cond`s record a not-taken outcome,
-            // judged on the predicates as the bundle leaves them — the
-            // rule of `record_off_cond_branches`.
-            if taken.is_none() {
-                for q in form.slots() {
-                    if q.op == QuietOp::BrCond && !self.pr[q.qp as usize] {
-                        self.pmu
-                            .record_branch(Pc::new(bundle_addr, q.slot), fall_through, false);
-                    }
-                }
-            }
-
-            self.advance_after_bundle(fall_through, taken);
-            if self.cycle >= stop_at {
-                if SAMPLING {
-                    self.take_sample(Pc::new(bundle_addr, 0));
-                }
-                return true;
             }
         }
+        self.pmu.counters.retired += retired;
+
+        // Predicated-off `br.cond`s record a not-taken outcome, judged
+        // on the predicates as the bundle leaves them — the rule of
+        // `record_off_cond_branches`.
+        let fall_through = last.offset_bundles(1);
+        if taken.is_none() {
+            for q in store.last_bundle_ops(block) {
+                if q.op == QuietOp::BrCond && !self.pr[q.qp as usize] {
+                    self.pmu
+                        .record_branch(Pc::new(last, q.slot), fall_through, false);
+                }
+            }
+        }
+
+        // The first n - 1 bundles fall through: two bundles issue per
+        // cycle, so the clock advances once per completed pair, counting
+        // a half-issued pair left by the previous bundle. The last
+        // bundle takes the shared per-bundle rule.
+        let halves = n - 1 + u64::from(self.half_bundle);
+        self.cycle += halves / 2;
+        self.half_bundle = halves % 2 == 1;
+        self.advance_after_bundle(fall_through, taken);
     }
 }
 
@@ -284,24 +281,57 @@ mod tests {
     }
 
     #[test]
-    fn quiet_run_covers_the_loop_and_stops_at_the_first_loud_bundle() {
+    fn quiet_run_runs_whole_blocks_up_to_the_first_loud_bundle() {
         let mut m = quiet_loop_then_load(ExecPath::Fast);
-        assert!(!m.quiet_run::<false>(u64::MAX), "runs until a loud bundle");
-        assert_eq!(m.gr(Gr(9)), 0, "every iteration ran in one quiet run");
-        let loud = m.store.locate(m.ip).unwrap();
-        assert!(m.store.decoded(loud).quiet.is_none());
+        m.quiet_run(u64::MAX);
+        assert_eq!(m.retired(), 0, "cold code: the entry line is not resident");
+        // A few generic steps make the loop's line resident.
+        for _ in 0..4 {
+            m.step_bundle_fast::<false>();
+        }
+        let stepped = m.retired();
+        m.quiet_run(u64::MAX);
+        assert!(
+            m.retired() > stepped + 200,
+            "the remaining iterations ran as blocks"
+        );
+        assert_eq!(m.gr(Gr(9)), 0, "the loop finished");
+        assert_eq!(m.store.quiet_block(m.ip), None, "stopped at the load");
         assert!(m.quiet_at <= m.cycle, "quiet results are ready at once");
+
+        // The reference tier, stepped to the same retired count, is in
+        // the same state.
+        let mut r = quiet_loop_then_load(ExecPath::Reference);
+        while r.retired() < m.retired() {
+            r.step_bundle();
+        }
+        let state = |m: &Machine| {
+            let c = &m.pmu.counters;
+            let timing = (m.cycles(), m.half_bundle, c.retired, c.branches);
+            (timing, m.ip, m.caches().cache_stats())
+        };
+        assert_eq!(state(&r), state(&m));
     }
 
     #[test]
-    fn quiet_run_returns_after_the_bundle_that_reaches_the_cycle_limit() {
+    fn quiet_run_leaves_a_block_that_could_reach_the_stop_bound() {
         let mut m = quiet_loop_then_load(ExecPath::Fast);
-        assert!(m.quiet_run::<false>(20));
-        assert!(m.cycles() >= 20);
-        // The reference tier, stepped bundle by bundle, stops on the
-        // same bundle.
+        assert_eq!(m.run(10), StopReason::CycleLimit);
+        let (start, limit) = (m.cycles(), m.cycles() + 9);
+        m.quiet_run(limit);
+        assert!(m.cycles() > start, "blocks ran");
+        assert!(m.cycles() < limit, "no block reaches the bound");
+        let next = m.store.quiet_block(m.ip).expect("still in the loop");
+        assert!(
+            m.cycles() + next.bundles.div_ceil(2) + m.config.taken_branch_penalty >= limit,
+            "it stops at the first block that could reach the bound"
+        );
+        // The generic steps then stop on the same bundle as the
+        // reference tier.
+        assert_eq!(m.run(limit), StopReason::CycleLimit);
         let mut r = quiet_loop_then_load(ExecPath::Reference);
-        assert_eq!(r.run(20), StopReason::CycleLimit);
+        assert_eq!(r.run(10), StopReason::CycleLimit);
+        assert_eq!(r.run(limit), StopReason::CycleLimit);
         assert_eq!(
             (r.cycles(), r.retired(), r.ip),
             (m.cycles(), m.retired(), m.ip)

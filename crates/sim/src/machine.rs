@@ -312,7 +312,7 @@ pub struct Machine {
     /// value written through `write_gr_src`/`write_fr_src` (the threaded
     /// tier only writes "ready now" entries, which never exceed the
     /// clock). While `cycle >= quiet_at` no scoreboard read can stall,
-    /// which is the entry condition of the fast tier's quiet run.
+    /// which is the entry condition of the fast tier's quiet blocks.
     pub(crate) quiet_at: u64,
     pub(crate) ip: Addr,
     pub(crate) ret_stack: Vec<Addr>,
@@ -916,9 +916,14 @@ impl Machine {
     /// Executes one issued single-cycle integer instruction: the only
     /// definition of the ALU and compare semantics, shared by
     /// [`Machine::exec_slot_op`] (reference and fast tiers) and the
-    /// fast tier's quiet run. The result is ready in the issuing cycle.
+    /// fast tier's quiet blocks. The result is ready in the issuing
+    /// cycle. A `QUIET` write (quiet blocks only, where
+    /// `cycle >= quiet_at`) sets the register alone and leaves its
+    /// scoreboard entry as it was: that entry is at most `quiet_at`,
+    /// hence never ahead of the clock, so no read can stall on it,
+    /// exactly as on the "ready now" entry a full write would store.
     #[inline(always)]
-    pub(crate) fn exec_int(&mut self, i: IntInsn) {
+    pub(crate) fn exec_int<const QUIET: bool>(&mut self, i: IntInsn) {
         let x = self.gr[i.a as usize];
         let y = self.gr[i.b as usize].wrapping_add(i.imm);
         let v = match i.op {
@@ -935,13 +940,17 @@ impl Machine {
                 return;
             }
         };
-        self.write_gr(isa::Gr(i.d), v, self.cycle);
+        if !QUIET {
+            self.write_gr(isa::Gr(i.d), v, self.cycle);
+        } else if i.d != 0 {
+            self.gr[i.d as usize] = v;
+        }
     }
 
     /// [`Machine::exec_int`] on `op`, which must map to an [`IntInsn`].
     #[inline(always)]
     fn exec_int_op(&mut self, op: &Op) {
-        self.exec_int(IntInsn::from_op(op).expect("single-cycle integer op"));
+        self.exec_int::<false>(IntInsn::from_op(op).expect("single-cycle integer op"));
     }
 
     /// Executes one issued (predicate-true, scoreboard-clear)

@@ -13,7 +13,7 @@
 //! | tier                  | step                              | timing |
 //! |-----------------------|-----------------------------------|--------|
 //! | [`Reference`]         | `Machine::step_bundle`            | cycle-exact |
-//! | [`Fast`]              | `Machine::quiet_run`, then `Machine::step_bundle_fast` | cycle-exact (bit-identical to Reference) |
+//! | [`Fast`]              | `Machine::quiet_run` (whole quiet blocks), then `Machine::step_bundle_fast` | cycle-exact (bit-identical to Reference) |
 //! | [`Threaded`]          | `Machine::jit_step`               | architectural state only |
 //!
 //! `SAMPLING` is a compile-time split: the unsampled instantiation of
@@ -50,15 +50,15 @@ impl ExecTier for Reference {
 
 /// The predecoded fast implementation (cycle-exact, bit-identical to
 /// [`Reference`]). While the scoreboard is quiet (`cycle >= quiet_at`)
-/// a step is a quiet run over consecutive quiet bundles, which returns
-/// after any bundle that reaches `cycle_limit` or takes a sample; the
-/// first non-quiet bundle it meets is stepped generically.
+/// a step first runs whole quiet blocks, none of which can reach
+/// `cycle_limit` or a sample point; then it steps one bundle
+/// generically, the one no block could cover.
 pub(crate) struct Fast;
 
 impl ExecTier for Fast {
     fn step<const SAMPLING: bool>(m: &mut Machine, cycle_limit: u64) {
-        if m.cycle >= m.quiet_at && m.quiet_run::<SAMPLING>(cycle_limit) {
-            return;
+        if m.cycle >= m.quiet_at {
+            m.quiet_run(cycle_limit);
         }
         m.step_bundle_fast::<SAMPLING>();
     }

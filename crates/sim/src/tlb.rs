@@ -2,10 +2,11 @@
 //!
 //! The Itanium 2 DEAR reports data-cache misses, **TLB misses** and ALAT
 //! misses (paper §2.1); ADORE programs it for cache misses, so the
-//! runtime must be able to tell the event kinds apart. The TLB also
-//! constrains prefetching the way real hardware does: a non-faulting
-//! `lfetch` that misses the DTLB is silently dropped rather than walking
-//! the page table.
+//! runtime must be able to tell the event kinds apart. An `lfetch` to a
+//! mapped address translates through the same [`Tlb::access`] as a
+//! demand load: on a miss it walks and fills, warming the TLB ahead of
+//! the demand stream. Only an `lfetch` whose translation would fault is
+//! dropped.
 
 /// DTLB configuration. Defaults approximate the Itanium 2 L2 DTLB with
 /// 16 KB pages.
@@ -137,13 +138,6 @@ impl Tlb {
         self.entries.push((page, self.tick));
         self.config.miss_latency
     }
-
-    /// Probes without filling (the `lfetch` path: hints that miss the
-    /// TLB are dropped, they never walk the page table).
-    pub fn probe(&self, addr: u64) -> bool {
-        let page = self.page(addr);
-        self.entries.iter().any(|(p, _)| *p == page)
-    }
 }
 
 #[cfg(test)]
@@ -170,15 +164,9 @@ mod tests {
         t.access(0x1000); // page 1
         t.access(0x0008); // refresh page 0
         t.access(0x2000); // page 2 evicts page 1
-        assert!(t.probe(0x0000));
-        assert!(!t.probe(0x1000));
-        assert!(t.probe(0x2000));
-    }
-
-    #[test]
-    fn probe_does_not_fill() {
-        let t = Tlb::new(TlbConfig::default());
-        assert!(!t.probe(0x5000_0000));
+        assert_eq!(t.access(0x0010), 0, "page 0 stays");
+        assert_eq!(t.access(0x2010), 0, "page 2 stays");
+        assert_eq!(t.access(0x1000), 10, "page 1 was evicted");
     }
 
     #[test]
@@ -193,8 +181,9 @@ mod tests {
         }
         // All four still resident.
         for i in 0..4u64 {
-            assert!(t.probe(i * 4096));
+            assert_eq!(t.access(i * 4096 + 8), 0);
         }
+        assert_eq!(t.stats(), (4, 4));
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Sampled cycle-exactness of the fast tier's quiet run.
+//! Sampled cycle-exactness of the fast tier's quiet blocks.
 //!
-//! While no scoreboard read can stall, the fast tier executes runs of
-//! *quiet* bundles (nops, single-cycle integer ops, compares, `br`,
-//! `br.cond`) from a compact predecoded form instead of slot by slot.
-//! The golden-cycle tests pin end-of-run counters of unsampled runs;
-//! this harness pins everything that happens *during* a run:
+//! While no scoreboard read can stall, the fast tier executes code made
+//! of *quiet* bundles (nops, single-cycle integer ops, compares, `br`,
+//! `br.cond`) one straight-line block at a time from a compact
+//! predecoded form, with fetch and pairing timing settled once per
+//! block, instead of slot by slot. The golden-cycle tests pin
+//! end-of-run counters of unsampled runs; this harness pins everything
+//! that happens *during* a run:
 //!
 //! - runs are chopped into many `Machine::run` calls with cycle limits
 //!   that land at arbitrary points, and a small sample buffer makes the
@@ -16,11 +18,12 @@
 //!   architectural registers are logged.
 //!
 //! The fast and reference tiers must produce identical logs, both on
-//! suite workloads at a tiny scale and on a hand-built program that
-//! steers the quiet run into each of its edge cases.
+//! suite workloads at a tiny scale and on hand-built programs that
+//! steer quiet blocks into each of their edge cases.
 
 use isa::CODE_BASE;
 use isa::{AccessSize, Addr, Bundle, CmpOp, Fr, Gr, Insn, Op, Pr, Program, SlotKind, Template};
+use sim::code::{CodeStore, QUIET_BLOCK_CAP};
 use sim::{ExecPath, Machine, MachineConfig, SamplingConfig, StopReason, DATA_BASE};
 
 /// Suite workloads checked at [`TINY_SCALE`]: applu's nop-filler loops
@@ -432,19 +435,224 @@ fn edge_program_agrees_across_cycle_exact_tiers() {
     }
 }
 
+// ---- hand-built block-edge program --------------------------------
+
+const LONG_TRIPS: i64 = 300;
+const LONG_BODY: u64 = 40;
+const CONFLICT_TRIPS: i64 = 120;
+const CONFLICT_LINES: u64 = 5;
+const MID_TRIPS: i64 = 500;
+
+/// Bundles between two code lines 4 KiB apart: they fall in one L1I set
+/// (64 sets of 64-byte lines).
+const SET_STRIDE: u64 = 4096 / Addr::BUNDLE_BYTES;
+
+fn quiet(a: Insn, b: Insn) -> Bundle {
+    bundle(Template::Mii, [nop_m(), a, b])
+}
+
+fn quiet_branch(a: Insn, br: Insn) -> Bundle {
+    bundle(Template::Mib, [nop_m(), a, br])
+}
+
+fn add(d: u8, a: u8, b: u8) -> Insn {
+    i(Op::Add {
+        d: Gr(d),
+        a: Gr(a),
+        b: Gr(b),
+    })
+}
+
+/// `(qp) br.cond` to the bundle at `index`.
+fn br_cond_to(qp: u8, index: u64) -> Insn {
+    p(qp, Op::BrCond { target: at(index) })
+}
+
+/// `br` to the bundle at `index`.
+fn br_to(index: u64) -> Insn {
+    i(Op::Br { target: at(index) })
+}
+
+/// Three loops, one per block edge, laid out bundle by bundle:
+///
+/// - 1–42, *longer than the block cap*: a straight line of
+///   `LONG_BODY` quiet bundles and two of loop control, so a block
+///   entered at the head ends at the cap and the next one starts
+///   there.
+/// - from the next 4 KiB boundary on, *conflicting lines*:
+///   `CONFLICT_LINES` one-bundle steps 4 KiB apart, chained by `br`,
+///   share one 4-way L1I set, so every fetch misses and every block
+///   entry falls back to the generic step. Unexecuted gaps are `halt`
+///   bundles.
+/// - the last loop, *a branch into the middle of a straight-line
+///   run*: on odd iterations a `br.cond` skips two bundles of the run
+///   and enters it in the middle.
+///
+/// Returns the program and the bundle indices of the long loop's head,
+/// the first conflicting line, the last loop's head and its mid-run
+/// entry.
+fn block_edge_program() -> (Program, [u64; 4]) {
+    let mut b = vec![movl(9, LONG_TRIPS)];
+    // The long straight line.
+    let long_head = b.len() as u64;
+    for k in 0..LONG_BODY {
+        let second = if k % 2 == 0 {
+            add(12, 12, 11)
+        } else {
+            i(Op::Xor {
+                d: Gr(15),
+                a: Gr(15),
+                b: Gr(12),
+            })
+        };
+        b.push(quiet(addi(11, 11, 1), second));
+    }
+    b.push(quiet(addi(9, 9, -1), nop_i()));
+    b.push(quiet_branch(
+        cmpi(CmpOp::Gt, 1, 2, 9, 0),
+        br_cond_to(1, long_head),
+    ));
+    // The conflicting lines, from the next 4 KiB boundary on.
+    b.push(movl(9, CONFLICT_TRIPS));
+    let conflict_head = (b.len() as u64).div_ceil(SET_STRIDE) * SET_STRIDE;
+    b.push(Bundle::branch_only(br_to(conflict_head)));
+    for k in 0..CONFLICT_LINES {
+        let line = conflict_head + k * SET_STRIDE;
+        b.resize(line as usize, Bundle::branch_only(i(Op::Halt)));
+        if k + 1 < CONFLICT_LINES {
+            let next = line + SET_STRIDE;
+            b.push(quiet_branch(addi(13, 13, 1), br_to(next)));
+        } else {
+            b.push(quiet(addi(9, 9, -1), addi(13, 13, 7)));
+            b.push(quiet_branch(
+                cmpi(CmpOp::Gt, 1, 2, 9, 0),
+                br_cond_to(1, conflict_head),
+            ));
+        }
+    }
+    // The run entered in the middle.
+    b.push(movl(9, MID_TRIPS));
+    let mid_head = b.len() as u64;
+    let mid_entry = mid_head + 5;
+    b.push(quiet(
+        addi(14, 14, 1),
+        i(Op::And {
+            d: Gr(16),
+            a: Gr(9),
+            b: Gr(29),
+        }),
+    ));
+    b.push(quiet(cmpi(CmpOp::Ne, 3, 4, 16, 0), nop_i()));
+    b.push(quiet_branch(nop_i(), br_cond_to(3, mid_entry)));
+    b.push(quiet(addi(17, 17, 1), nop_i()));
+    b.push(quiet(addi(17, 17, 2), nop_i()));
+    b.push(quiet(addi(18, 18, 1), addi(9, 9, -1)));
+    b.push(quiet(add(19, 19, 18), nop_i()));
+    b.push(quiet_branch(
+        cmpi(CmpOp::Gt, 1, 2, 9, 0),
+        br_cond_to(1, mid_head),
+    ));
+    b.push(Bundle::branch_only(i(Op::Halt)));
+    (
+        Program::new(CODE_BASE, b),
+        [long_head, conflict_head, mid_head, mid_entry],
+    )
+}
+
+fn block_edge_machine(path: ExecPath, sampling_on: bool) -> Machine {
+    let config = MachineConfig {
+        exec_path: path,
+        sampling: sampling_on.then(|| sampling(43)),
+        ..MachineConfig::default()
+    };
+    let mut m = Machine::new(block_edge_program().0, config);
+    m.set_gr(Gr(29), 1);
+    m
+}
+
+#[test]
+fn block_edge_program_reaches_every_block_edge() {
+    let (program, [long_head, conflict_head, mid_head, mid_entry]) = block_edge_program();
+    let mut store = CodeStore::new(&program);
+    let long = store.quiet_block(at(long_head)).unwrap();
+    assert_eq!(
+        long.bundles, QUIET_BLOCK_CAP,
+        "the straight line outgrows the cap"
+    );
+    let rest = store.quiet_block(long.last().offset_bundles(1)).unwrap();
+    assert_eq!(rest.bundles, LONG_BODY + 2 - QUIET_BLOCK_CAP);
+    for k in 0..CONFLICT_LINES {
+        let line = at(conflict_head + k * SET_STRIDE);
+        assert_eq!(line.0 % 4096, 0, "conflicting lines are 4 KiB apart");
+        assert!(store.quiet_block(line).is_some());
+    }
+    let whole = store.quiet_block(at(mid_head + 3)).unwrap();
+    let tail = store.quiet_block(at(mid_entry)).unwrap();
+    assert_eq!((whole.bundles, tail.bundles), (5, 3));
+    assert_eq!(whole.last(), tail.last(), "both end at the back edge");
+
+    let mut m = block_edge_machine(ExecPath::Reference, false);
+    assert_eq!(m.run(u64::MAX), StopReason::Halted);
+    assert_eq!(m.gr(Gr(11)), LONG_TRIPS * LONG_BODY as i64);
+    assert_eq!(
+        m.gr(Gr(13)),
+        CONFLICT_TRIPS * (CONFLICT_LINES as i64 - 1 + 7)
+    );
+    assert_eq!(
+        m.gr(Gr(17)),
+        3 * MID_TRIPS / 2,
+        "the skipped bundles ran every other trip"
+    );
+    assert_eq!(m.gr(Gr(18)), MID_TRIPS);
+    // Five lines thrash one 4-way set: every step of the conflict loop
+    // misses L1I.
+    let (_, l1i_misses) = m.caches().cache_stats()[1];
+    assert!(
+        l1i_misses >= CONFLICT_TRIPS as u64 * CONFLICT_LINES,
+        "L1I misses {l1i_misses}"
+    );
+}
+
+#[test]
+fn block_edge_program_agrees_across_cycle_exact_tiers() {
+    for sampling_on in [false, true] {
+        let fast = observe(block_edge_machine(ExecPath::Fast, sampling_on));
+        let reference = observe(block_edge_machine(ExecPath::Reference, sampling_on));
+        if sampling_on {
+            assert!(
+                samples_in(&fast) >= 30,
+                "too few samples: {}",
+                samples_in(&fast)
+            );
+        }
+        assert_same_log(
+            &format!("block-edge program (sampling {sampling_on})"),
+            &fast,
+            &reference,
+        );
+    }
+}
+
 #[test]
 fn uninterrupted_fast_run_matches_chunked_reference_run() {
-    // One `run(u64::MAX)` on the fast tier lets quiet runs go as long as
-    // they like; the chunked reference run above stops everywhere. The
-    // end states must still agree.
-    let mut fast = edge_machine(ExecPath::Fast, false);
-    assert_eq!(fast.run(u64::MAX), StopReason::Halted);
-    let fast_final = {
-        let mut log = observe(fast);
-        log.retain(|l| !l.starts_with("stop "));
-        log
-    };
-    let mut reference = observe(edge_machine(ExecPath::Reference, false));
-    reference.retain(|l| !l.starts_with("stop "));
-    assert_same_log("uninterrupted edge program", &fast_final, &reference);
+    // One `run(u64::MAX)` on the fast tier lets quiet blocks run back to
+    // back for as long as they like; the chunked reference run stops
+    // everywhere. The end states must still agree.
+    type Build = fn(ExecPath, bool) -> Machine;
+    let programs: [(&str, Build); 2] = [
+        ("edge program", edge_machine),
+        ("block-edge program", block_edge_machine),
+    ];
+    for (what, build) in programs {
+        let mut fast = build(ExecPath::Fast, false);
+        assert_eq!(fast.run(u64::MAX), StopReason::Halted);
+        let fast_final = {
+            let mut log = observe(fast);
+            log.retain(|l| !l.starts_with("stop "));
+            log
+        };
+        let mut reference = observe(build(ExecPath::Reference, false));
+        reference.retain(|l| !l.starts_with("stop "));
+        assert_same_log(&format!("uninterrupted {what}"), &fast_final, &reference);
+    }
 }
